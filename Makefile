@@ -9,7 +9,7 @@ FLEET_FUZZTIME ?= 30s
 DIST_FUZZTIME ?= 30s
 METER_FUZZTIME ?= 30s
 
-.PHONY: build test vet race race-obs check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
+.PHONY: build test vet race check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The observability package carries the lock-free metrics and the
-# ring-buffer tracer; run it under the race detector on its own so the
-# gate stays meaningful even if the full race target is trimmed later.
-race-obs:
-	$(GO) test -race ./internal/obs/...
 
 # Smoke-run the fuzz targets guarding the numeric core (sample-size
 # planning, confidence intervals) and the trace parser/gap-tolerant
@@ -72,7 +66,7 @@ vuln:
 
 # The full pre-commit gate: vet, build, the test suite under the race
 # detector, fuzz smoke, and the coverage floor.
-check: vet build race-obs race fuzz-smoke cover-check
+check: vet build race fuzz-smoke cover-check
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .

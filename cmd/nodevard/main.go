@@ -45,6 +45,7 @@ import (
 
 	"nodevar/internal/cli"
 	"nodevar/internal/dist"
+	"nodevar/internal/memo"
 	"nodevar/internal/obs"
 	"nodevar/internal/server"
 )
@@ -62,7 +63,7 @@ func realMain() int {
 		maxReplicates = flag.Int("max-replicates", 200000, "largest /v1/coverage replicate count accepted")
 		maxPopulation = flag.Int("max-population", 1_000_000_000, "sanity cap on the /v1/coverage simulated machine size (the count-based study never materializes it)")
 		maxDistNodes  = flag.Int("max-distortion-nodes", 256, "largest simulated cluster a /v1/distortion meter study may ask for (one power trace per node)")
-		cacheEntries  = flag.Int("cache-entries", 128, "completed coverage results kept in memory")
+		cacheEntries  = flag.Int("cache-entries", memo.DefaultEntries, "completed results kept in memory: coverage/distortion bodies (api role) or jobs replayed to re-dispatches (worker role)")
 		manifestDir   = flag.String("manifest-dir", "", "write one manifest-v3 run record per computed coverage study here")
 		traceRing     = flag.Int("trace-ring", 256, "recent request traces retained for GET /v1/trace/{id}; 0 disables request tracing")
 		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "background runtime gauge sampling interval; 0 samples only on /metrics scrapes")
@@ -78,7 +79,6 @@ func realMain() int {
 		distTimeout   = flag.Duration("dist-job-timeout", 0, "per-worker dispatch budget for one coverage job; 0 leaves the request budget as the only bound (frontend)")
 		distCkEvery   = flag.Int("dist-checkpoint-every", 4, "streamed-progress cadence in completed chunks requested of workers (frontend)")
 		workerJobs    = flag.Int("worker-max-jobs", 4, "concurrent coverage studies per worker; excess jobs queue (worker role)")
-		workerCache   = flag.Int("worker-cache", 64, "completed jobs remembered for idempotent replay (worker role)")
 		chunkDelay    = flag.Duration("worker-chunk-delay", 0, "sleep after each completed chunk; chaos/scaling harness knob, leave 0 in production (worker role)")
 
 		obsFlags  = cli.RegisterObsFlags()
@@ -110,7 +110,7 @@ func realMain() int {
 		run.SetConfig("worker_chunk_delay", chunkDelay.String())
 		return runWorker(run, ctx, *addr, *drainTimeout, dist.WorkerConfig{
 			MaxConcurrent: *workerJobs,
-			CacheEntries:  *workerCache,
+			CacheEntries:  *cacheEntries,
 			ChunkDelay:    *chunkDelay,
 			Log:           run.Log,
 		})

@@ -1,13 +1,11 @@
 package cli
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sync"
 	"time"
@@ -17,7 +15,7 @@ import (
 
 // ObsFlags is the observability flag set shared by every command-line
 // tool: logging verbosity and format, metric/trace/manifest output
-// paths, and the pprof/expvar debug server address.
+// paths, and the pprof debug server address.
 type ObsFlags struct {
 	Verbose     bool
 	LogFormat   string
@@ -35,7 +33,7 @@ func (o *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome-trace JSON (open in chrome://tracing or Perfetto) to this path")
 	fs.StringVar(&o.ManifestOut, "manifest", "auto",
 		`run manifest path ("auto" writes run-manifest.json when -metrics-out or -trace-out is set; "none" disables)`)
-	fs.StringVar(&o.PprofAddr, "pprof", "", "serve pprof and expvar on this address (e.g. :6060)")
+	fs.StringVar(&o.PprofAddr, "pprof", "", "serve pprof and the metrics (/metrics, /debug/metrics) on this address (e.g. :6060)")
 }
 
 // RegisterObsFlags installs the observability flags on the default
@@ -95,7 +93,7 @@ func (r *Run) SetFaults(f *obs.FaultsSection) {
 
 // Start validates the flags and opens an observed run: it builds the
 // logger, installs the process tracer when tracing or a manifest was
-// requested, and starts the pprof/expvar server when -pprof is set.
+// requested, and starts the pprof server when -pprof is set.
 func (o *ObsFlags) Start(cmd string) (*Run, error) {
 	logger, err := obs.NewLogger(os.Stderr, o.LogFormat, o.Verbose)
 	if err != nil {
@@ -113,18 +111,11 @@ func (o *ObsFlags) Start(cmd string) (*Run, error) {
 		obs.SetTracer(r.Tracer)
 	}
 	if o.PprofAddr != "" {
-		obs.PublishExpvar()
 		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.Handle("/metrics", obs.PromHandler())
+		obs.HandleDebug(mux)
 		srv := &http.Server{Addr: o.PprofAddr, Handler: mux}
 		go func() {
-			logger.Info("pprof/expvar server listening", "addr", o.PprofAddr)
+			logger.Info("pprof server listening", "addr", o.PprofAddr)
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Error("pprof server failed", "err", err)
 			}

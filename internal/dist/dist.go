@@ -26,9 +26,12 @@
 //     different answer.
 //
 // Job dispatch is idempotent: the job key is derived from the study's
-// (seed, fingerprint) identity, workers keep a small cache of completed
-// results keyed by it, and a re-dispatched or retried job replays the
-// cached points instead of recomputing.
+// (seed, fingerprint) identity and workers key their studies by it in a
+// memo.Cache. A re-dispatched or retried job replays the cached points
+// instead of recomputing, and a duplicate that arrives while the study
+// is still in flight — two frontends dispatching the same study at once
+// — joins it, so in-flight duplicates coalesce on the worker and one
+// study runs per unique configuration.
 package dist
 
 import "fmt"

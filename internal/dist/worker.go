@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nodevar/internal/memo"
 	"nodevar/internal/obs"
 	"nodevar/internal/sampling"
 )
@@ -21,6 +23,7 @@ var (
 	mWorkerFailed    = obs.NewCounter("dist.worker.jobs_failed")
 	mWorkerRejected  = obs.NewCounter("dist.worker.jobs_rejected")
 	mWorkerCacheHits = obs.NewCounter("dist.worker.cache_hits")
+	mWorkerJoined    = obs.NewCounter("dist.worker.jobs_coalesced")
 	mWorkerFrames    = obs.NewCounter("dist.worker.frames_streamed")
 	gWorkerActive    = obs.NewGauge("dist.worker.active_jobs")
 )
@@ -34,7 +37,7 @@ type WorkerConfig struct {
 	MaxConcurrent int
 	// CacheEntries caps the idempotent completed-job cache (FIFO
 	// eviction). A re-dispatched JobID found here replays the cached
-	// points without recompute. Default 64.
+	// points without recompute. Default memo.DefaultEntries.
 	CacheEntries int
 	// CheckpointEvery is the streamed-progress cadence in completed
 	// chunks when the job envelope does not set one. Default 4.
@@ -50,25 +53,20 @@ type WorkerConfig struct {
 
 // Worker is the compute tier: it accepts coverage jobs over the small
 // HTTP/JSON protocol, streams checkpoint envelopes back as the study
-// progresses, and remembers completed results so duplicate dispatches
-// are replays, not recomputes.
+// progresses, and keys its studies by JobID in a memo.Cache, so a
+// duplicate dispatch joins the study in flight or replays the completed
+// one instead of recomputing.
 type Worker struct {
-	cfg WorkerConfig
-	log *slog.Logger
-	sem chan struct{}
-
-	mu    sync.Mutex
-	done  map[string][]Point // JobID -> completed points
-	order []string           // FIFO eviction order
+	cfg   WorkerConfig
+	log   *slog.Logger
+	sem   chan struct{}
+	cache *memo.Cache[string, []Point]
 }
 
 // NewWorker builds a Worker, applying defaults.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
-	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 64
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 4
@@ -77,10 +75,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Worker{
-		cfg:  cfg,
-		log:  cfg.Log,
-		sem:  make(chan struct{}, cfg.MaxConcurrent),
-		done: map[string][]Point{},
+		cfg:   cfg,
+		log:   cfg.Log,
+		sem:   make(chan struct{}, cfg.MaxConcurrent),
+		cache: memo.New[string, []Point](cfg.CacheEntries, memo.Counters{Hits: mWorkerCacheHits, Coalesced: mWorkerJoined}),
 	}
 }
 
@@ -97,35 +95,17 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// cached looks up a completed job.
-func (w *Worker) cached(jobID string) ([]Point, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	pts, ok := w.done[jobID]
-	return pts, ok
-}
-
-// remember stores a completed job, evicting the oldest past the cap.
-func (w *Worker) remember(jobID string, pts []Point) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.done[jobID]; ok {
-		return
-	}
-	w.done[jobID] = pts
-	w.order = append(w.order, jobID)
-	for len(w.order) > w.cfg.CacheEntries {
-		old := w.order[0]
-		w.order = w.order[1:]
-		delete(w.done, old)
-	}
-}
-
 // handleCoverage runs one coverage job, streaming NDJSON frames:
 // checkpoint frames at the configured cadence, then exactly one result
 // or error frame. Validation failures are plain 400s before any
 // streaming starts; a failure mid-study becomes an error frame because
 // the 200 header is already on the wire.
+//
+// Jobs go through the cache keyed by JobID. A JobID computed before
+// replays its points — the re-dispatch a frontend issues after a torn
+// response or a lost connection costs nothing — and a JobID in flight
+// is joined, so concurrent dispatches of one study run it once.
+// Checkpoint frames stream only to the connection that leads the study.
 func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 	job, cfg, err := DecodeJobRequest(r.Body)
 	if err != nil {
@@ -139,11 +119,16 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	rw.Header().Set("X-Job-Id", job.JobID)
 	flusher, _ := rw.(http.Flusher)
-	var wmu sync.Mutex // frames may not interleave
+	var (
+		wmu      sync.Mutex // frames may not interleave
+		returned bool       // the handler is done with rw
+	)
 	writeFrame := func(fr Frame) {
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err := json.NewEncoder(rw).Encode(fr); err != nil {
+		// A study outlives its leading connection while a coalesced
+		// waiter still wants it; rw is then no longer ours to write.
+		if returned || json.NewEncoder(rw).Encode(fr) != nil {
 			return
 		}
 		mWorkerFrames.Inc()
@@ -151,66 +136,66 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	defer func() {
+		wmu.Lock()
+		returned = true
+		wmu.Unlock()
+	}()
 
-	// Idempotent replay: a JobID computed before answers from the
-	// completed-job cache — the re-dispatch a frontend issues after a
-	// torn response or a lost connection costs nothing.
-	if pts, ok := w.cached(job.JobID); ok {
-		mWorkerCacheHits.Inc()
-		writeFrame(Frame{Type: FrameResult, Points: pts, Cached: true})
-		return
-	}
-
-	// Admission: queue behind the concurrency cap. The client's
-	// disconnect releases the wait.
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	case <-r.Context().Done():
-		return
-	}
-
-	mWorkerJobs.Inc()
-	if len(job.Resume) > 0 {
-		mWorkerResumed.Inc()
-	}
-	gWorkerActive.Add(1)
-	defer gWorkerActive.Sub(1)
-
-	var lastDone atomic.Int64
-	total := cfg.Chunks
-	cfg.OnChunk = func(done, tot int) {
-		lastDone.Store(int64(done))
-		if w.cfg.ChunkDelay > 0 {
-			time.Sleep(w.cfg.ChunkDelay)
+	pts, status, err := w.cache.Do(r.Context(), context.Background(), job.JobID, func(ctx context.Context) ([]Point, bool, error) {
+		// Admission: queue behind the concurrency cap. Abandonment by
+		// every waiting connection releases the wait.
+		select {
+		case w.sem <- struct{}{}:
+			defer func() { <-w.sem }()
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
 		}
-	}
-	cfg.OnCheckpoint = func(env []byte) {
-		writeFrame(Frame{
-			Type:       FrameCheckpoint,
-			Done:       int(lastDone.Load()),
-			Total:      total,
-			Checkpoint: append([]byte(nil), env...),
-		})
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = w.cfg.CheckpointEvery
-	}
-	if len(job.Resume) > 0 {
-		cfg.Resume = true
-		cfg.ResumeData = job.Resume
-	}
 
-	w.log.Info("dist worker: job start", "job", job.JobID, "replicates", cfg.Replicates, "resume", len(job.Resume) > 0)
-	points, err := sampling.CoverageStudyCtx(r.Context(), cfg)
+		mWorkerJobs.Inc()
+		if len(job.Resume) > 0 {
+			mWorkerResumed.Inc()
+		}
+		gWorkerActive.Add(1)
+		defer gWorkerActive.Sub(1)
+
+		var lastDone atomic.Int64
+		total := cfg.Chunks
+		cfg.OnChunk = func(done, tot int) {
+			lastDone.Store(int64(done))
+			if w.cfg.ChunkDelay > 0 {
+				time.Sleep(w.cfg.ChunkDelay)
+			}
+		}
+		cfg.OnCheckpoint = func(env []byte) {
+			writeFrame(Frame{
+				Type:       FrameCheckpoint,
+				Done:       int(lastDone.Load()),
+				Total:      total,
+				Checkpoint: append([]byte(nil), env...),
+			})
+		}
+		if cfg.CheckpointEvery <= 0 {
+			cfg.CheckpointEvery = w.cfg.CheckpointEvery
+		}
+		if len(job.Resume) > 0 {
+			cfg.Resume = true
+			cfg.ResumeData = job.Resume
+		}
+
+		w.log.Info("dist worker: job start", "job", job.JobID, "replicates", cfg.Replicates, "resume", len(job.Resume) > 0)
+		points, err := sampling.CoverageStudyCtx(ctx, cfg)
+		if err != nil {
+			mWorkerFailed.Inc()
+			w.log.Warn("dist worker: job failed", "job", job.JobID, "err", err)
+			return nil, false, err
+		}
+		w.log.Info("dist worker: job done", "job", job.JobID)
+		return FromPoints(points), true, nil
+	})
 	if err != nil {
-		mWorkerFailed.Inc()
-		w.log.Warn("dist worker: job failed", "job", job.JobID, "err", err)
 		writeFrame(Frame{Type: FrameError, Error: err.Error()})
 		return
 	}
-	pts := FromPoints(points)
-	w.remember(job.JobID, pts)
-	writeFrame(Frame{Type: FrameResult, Points: pts})
-	w.log.Info("dist worker: job done", "job", job.JobID)
+	writeFrame(Frame{Type: FrameResult, Points: pts, Cached: status == memo.Hit})
 }

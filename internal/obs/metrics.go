@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"sort"
@@ -355,8 +354,8 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	// Labelled families flatten to name{l1="v1",...} keys, so the JSON
-	// snapshot (and therefore /debug/metrics, expvar and manifests)
-	// carries them without a schema change.
+	// snapshot (and therefore /debug/metrics and manifests) carries
+	// them without a schema change.
 	for name, v := range r.counterVecs {
 		for _, c := range v.core.snapshotChildren() {
 			s.Counters[flatName(name, v.core.labels, c.values)] = c.metric.Value()
@@ -410,19 +409,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// expvarOnce guards the one-shot expvar publication (expvar panics on
-// duplicate names).
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the default registry's snapshot as the expvar
-// variable "nodevar.metrics" (served on /debug/vars alongside pprof).
-// Safe to call more than once.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("nodevar.metrics", expvar.Func(func() any {
-			return Default().Snapshot()
-		}))
-	})
 }

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the simulator: a lock-cheap
 // metrics registry (atomic counters, gauges and fixed-bucket histograms
-// with deterministic snapshots and expvar export), a phase tracer whose
+// with deterministic snapshots, exported as JSON and Prometheus text), a phase tracer whose
 // spans land in an in-memory ring buffer and can be streamed as
 // Chrome-trace JSON (chrome://tracing, Perfetto), structured slog-based
 // run logging, and a run manifest that ties a command invocation to its

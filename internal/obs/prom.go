@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,4 +267,20 @@ func PromHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+}
+
+// HandleDebug mounts the shared diagnostics routes on mux: Prometheus
+// text at /metrics, the JSON registry snapshot at /debug/metrics, and
+// net/http/pprof under /debug/pprof/.
+func HandleDebug(mux *http.ServeMux) {
+	mux.Handle("GET /metrics", PromHandler())
+	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		Default().Snapshot().WriteJSON(w)
+	})
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }

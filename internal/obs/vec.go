@@ -155,8 +155,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 }
 
 // flatName spells one child as name{l1="v1",l2="v2"} — the key used in
-// JSON snapshots so labelled metrics ride along in /debug/metrics,
-// expvar and manifests without schema changes.
+// JSON snapshots so labelled metrics ride along in /debug/metrics and
+// manifests without schema changes.
 func flatName(name string, labels, values []string) string {
 	var sb strings.Builder
 	sb.WriteString(name)

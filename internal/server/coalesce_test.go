@@ -3,12 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"nodevar/internal/memo"
 )
 
 // coverageBody is the small deterministic study the concurrency tests
@@ -83,7 +83,7 @@ func TestCoverageCoalescing(t *testing.T) {
 	// A later identical request is a pure cache hit with the same bytes.
 	s.coverageGate = nil
 	resp, body := postJSON(t, ts.URL+"/v1/coverage", coverageBody)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != string(cacheHit) {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != string(memo.Hit) {
 		t.Fatalf("follow-up: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 	if !bytes.Equal(body, bodies[0]) {
@@ -144,18 +144,14 @@ func TestCoverageAbandonCancelsStudy(t *testing.T) {
 	}
 
 	// The failed flight must not be cached: the next request starts a
-	// fresh study and succeeds.
-	waitFor(t, "failed flight to clear", func() bool {
-		s.cache.mu.Lock()
-		defer s.cache.mu.Unlock()
-		return len(s.cache.flights) == 0
-	})
+	// fresh study and succeeds. It leads a new flight even if the
+	// canceled one is still unwinding (see memo.Cache.Do).
 	s.coverageGate = nil
 	resp, body = postJSON(t, ts.URL+"/v1/coverage", tinyBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after abandon: status %d\n%s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("X-Cache") != string(cacheMiss) {
+	if resp.Header.Get("X-Cache") != string(memo.Miss) {
 		t.Errorf("retry served X-Cache %q, want miss (errors must not be cached)", resp.Header.Get("X-Cache"))
 	}
 	if d := mCacheMisses.Value() - miss0; d != 2 {
@@ -163,111 +159,30 @@ func TestCoverageAbandonCancelsStudy(t *testing.T) {
 	}
 }
 
-// TestCanceledFlightNotJoined pins the abandon/rejoin window: after the
-// last waiter abandons a flight (marking it canceled) but before run()
-// unregisters it, a new request with a live context must lead a fresh
-// computation rather than inherit the doomed flight's context.Canceled.
-func TestCanceledFlightNotJoined(t *testing.T) {
-	c := newResultCache(4)
-	base := context.Background()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int32
-	compute := func(ctx context.Context) ([]byte, bool, error) {
-		if calls.Add(1) == 1 {
-			close(started)
-			<-ctx.Done() // wait for the abandon to cancel us...
-			<-release    // ...then stall run() so the flight stays registered
-			return nil, true, ctx.Err()
-		}
-		return []byte("fresh"), true, nil
+// TestCoverageComputePanicRecovered covers a panic inside a coverage
+// computation. The study runs on the cache's flight goroutine, outside
+// any handler's recover, so the panic is carried back to the request
+// and answered by the panic middleware as a 500 instead of killing the
+// process. Nothing is cached: the next request recomputes.
+func TestCoverageComputePanicRecovered(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	panics0, miss0 := mPanics.Value(), mCacheMisses.Value()
+	s.coverageGate = func(context.Context) error { panic("study exploded") }
+	resp, body := postJSON(t, ts.URL+"/v1/coverage", coverageBody)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking study: status %d, want 500\n%s", resp.StatusCode, body)
+	}
+	decodeAPIError(t, body)
+	if d := mPanics.Value() - panics0; d != 1 {
+		t.Errorf("recovered panics = %d, want 1", d)
 	}
 
-	ctx1, cancel1 := context.WithCancel(base)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do(ctx1, base, "k", compute)
-		errCh <- err
-	}()
-	<-started
-	cancel1()
-	// Do returns after the abandon path marked the flight canceled; its
-	// run goroutine is still parked on release, so the stale flight is
-	// still in c.flights when the next request arrives.
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoning waiter got %v, want context.Canceled", err)
+	s.coverageGate = nil
+	resp, body = postJSON(t, ts.URL+"/v1/coverage", coverageBody)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != string(memo.Miss) {
+		t.Fatalf("after panic: status %d, X-Cache %q\n%s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
 	}
-
-	body, status, err := c.Do(context.Background(), base, "k", compute)
-	if err != nil {
-		t.Fatalf("rejoin after abandon: %v (joined the canceled flight?)", err)
-	}
-	if status != cacheMiss || string(body) != "fresh" {
-		t.Errorf("rejoin got status %q body %q, want a fresh miss", status, body)
-	}
-
-	// Unstall the stale flight's run(); its error must not be cached and
-	// its guarded cleanup must not disturb the successor's cached result.
-	close(release)
-	if _, status, _ := c.Do(context.Background(), base, "k", compute); status != cacheHit {
-		t.Errorf("follow-up status %q, want hit from the replacement flight", status)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("computations = %d, want 2 (abandoned + replacement)", n)
-	}
-}
-
-// TestCacheEviction pins the FIFO bound on completed results.
-func TestCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	ctx := context.Background()
-	for _, key := range []string{"a", "b", "c"} {
-		key := key
-		_, _, err := c.Do(ctx, ctx, key, func(context.Context) ([]byte, bool, error) {
-			return []byte(key), true, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", c.Len())
-	}
-	// "a" was evicted: recomputing it is a miss, "c" is still a hit.
-	if _, status, _ := c.Do(ctx, ctx, "c", func(context.Context) ([]byte, bool, error) {
-		return []byte("c2"), true, nil
-	}); status != cacheHit {
-		t.Errorf(`"c" status %q, want hit`, status)
-	}
-	if _, status, _ := c.Do(ctx, ctx, "a", func(context.Context) ([]byte, bool, error) {
-		return []byte("a2"), true, nil
-	}); status != cacheMiss {
-		t.Errorf(`"a" status %q, want miss after eviction`, status)
-	}
-}
-
-// TestUncacheableResultNotStored pins the degraded-mode contract: a
-// compute that disclaims its result (cacheable=false) still answers its
-// own waiters, but the next request recomputes instead of hitting.
-func TestUncacheableResultNotStored(t *testing.T) {
-	c := newResultCache(4)
-	ctx := context.Background()
-	var calls atomic.Int32
-	compute := func(context.Context) ([]byte, bool, error) {
-		calls.Add(1)
-		return []byte("degraded"), false, nil
-	}
-	body, status, err := c.Do(ctx, ctx, "k", compute)
-	if err != nil || string(body) != "degraded" || status != cacheMiss {
-		t.Fatalf("first call: body %q status %q err %v", body, status, err)
-	}
-	if _, status, _ = c.Do(ctx, ctx, "k", compute); status != cacheMiss {
-		t.Fatalf("second call status %q, want miss (uncacheable result was stored)", status)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries, want 0", c.Len())
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("computations = %d, want 2", calls.Load())
+	if d := mCacheMisses.Value() - miss0; d != 2 {
+		t.Errorf("cache misses = %d, want 2 (panicked + retry)", d)
 	}
 }

@@ -147,30 +147,34 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidPlan, err.Error())
 		return
 	}
-	key := coverageKey(norm, cfg)
-	body, status, err := s.cache.Do(r.Context(), s.base, key, func(ctx context.Context) ([]byte, bool, error) {
+	s.serveCached(w, r, coverageKey(norm, cfg), "coverage", func(ctx context.Context) ([]byte, bool, error) {
 		return s.computeCoverage(ctx, norm, cfg)
 	})
+}
+
+// serveCached answers a study request from the result cache: the body
+// is computed once per key, X-Cache says how this request was served,
+// and a failed or abandoned flight maps onto the API's error codes.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, study string, compute func(context.Context) ([]byte, bool, error)) {
+	body, status, err := s.cache.Do(r.Context(), s.base, key, compute)
 	w.Header().Set("X-Cache", string(status))
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, "coverage study did not finish within the request budget")
-		case errors.Is(err, context.Canceled):
-			writeError(w, http.StatusServiceUnavailable, codeUnavailable, "coverage study canceled")
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
-		return
+	switch {
+	case err == nil:
+		writeBody(w, http.StatusOK, body)
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, codeTimeout, study+" study did not finish within the request budget")
+	case errors.Is(err, context.Canceled):
+		writeError(w, http.StatusServiceUnavailable, codeUnavailable, study+" study canceled")
+	default:
+		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 	}
-	writeBody(w, http.StatusOK, body)
 }
 
 // computeCoverage executes one coalesced study: run (on the worker
 // fleet when one is configured, in-process otherwise), marshal once
 // (the cached bytes every caller receives), and record a manifest-v3
 // run record carrying the same seed/fingerprint provenance a CLI run
-// would. The returned bool is the cacheable flag for resultCache.Do: a
+// would. The returned bool is the cacheable flag for memo.Cache.Do: a
 // degraded-mode answer (fleet unreachable, computed locally) serves its
 // waiters but is not stored, so the Degraded marker disappears as soon
 // as the fleet can answer again.

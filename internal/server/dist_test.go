@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nodevar/internal/dist"
+	"nodevar/internal/memo"
 )
 
 // distBody is a small fast custom-pilot study used by the dist-wiring
@@ -40,14 +41,14 @@ func TestCoverageViaDistByteIdenticalToLocal(t *testing.T) {
 	if string(remoteBody) != string(localBody) {
 		t.Fatalf("dist-routed body differs from local body:\n%s\nvs\n%s", remoteBody, localBody)
 	}
-	if resp.Header.Get("X-Cache") != string(cacheMiss) {
+	if resp.Header.Get("X-Cache") != string(memo.Miss) {
 		t.Fatalf("X-Cache %q, want miss", resp.Header.Get("X-Cache"))
 	}
 
 	// Second request: served from the frontend's L1 without touching the
 	// fleet, still byte-identical.
 	resp, cachedBody := postJSON(t, distTS.URL+"/v1/coverage", distBody)
-	if resp.Header.Get("X-Cache") != string(cacheHit) {
+	if resp.Header.Get("X-Cache") != string(memo.Hit) {
 		t.Fatalf("second request X-Cache %q, want hit", resp.Header.Get("X-Cache"))
 	}
 	if string(cachedBody) != string(localBody) {
@@ -98,7 +99,7 @@ func TestCoverageDistDegradedFlaggedAndUncached(t *testing.T) {
 
 	// Degraded results must not be cached: the retry recomputes.
 	resp, _ = postJSON(t, ts.URL+"/v1/coverage", distBody)
-	if resp.Header.Get("X-Cache") != string(cacheMiss) {
+	if resp.Header.Get("X-Cache") != string(memo.Miss) {
 		t.Fatalf("post-degraded X-Cache %q, want miss (degraded result was cached)", resp.Header.Get("X-Cache"))
 	}
 }

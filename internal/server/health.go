@@ -48,12 +48,14 @@ func (w *secWindow) Sum(k int64) int64 {
 }
 
 // Readiness thresholds: the shed-rate check looks at the last
-// readyWindowSec seconds and stays green below readyMinRequests total
-// requests (an idle server that shed its only request is not degraded);
+// readyWindowSec seconds, degrades past readyMaxShedRate of them shed,
+// and stays green below readyMinRequests total requests (an idle server
+// that shed its only request is not degraded);
 // the error-budget check needs sloMinRequests observations before a
 // budget can flip readiness, so one early failure cannot flap it.
 const (
 	readyWindowSec   = 10
+	readyMaxShedRate = 0.5
 	readyMinRequests = 20
 	sloMinRequests   = 100
 )
@@ -81,7 +83,7 @@ type readyResponse struct {
 }
 
 // handleReady is the readiness probe. It degrades (503) while draining,
-// when the trailing shed rate exceeds Config.ReadyMaxShedRate, when
+// when the trailing shed rate exceeds readyMaxShedRate, when
 // every concurrency slot is busy, or when an endpoint's error budget is
 // exhausted — all conditions under which routing new traffic here makes
 // things worse, while the process itself stays healthy (live).
@@ -103,7 +105,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	total := s.winTotal.Sum(readyWindowSec)
 	shed := s.winShed.Sum(readyWindowSec)
 	verdict("shed_rate",
-		total >= readyMinRequests && float64(shed) > s.cfg.ReadyMaxShedRate*float64(total),
+		total >= readyMinRequests && float64(shed) > readyMaxShedRate*float64(total),
 		fmt.Sprintf("shed %d of %d requests in the last %ds", shed, total, readyWindowSec))
 
 	verdict("saturation", int(s.inflight.Load()) >= s.cfg.MaxConcurrent,

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"nodevar/internal/memo"
 )
 
 // TestServerLoad is the loadcheck smoke (see `make loadcheck`): ~120
@@ -93,7 +95,7 @@ func TestServerLoad(t *testing.T) {
 	// a cache hit with bytes identical to the storm's responses.
 	s.coverageGate = nil
 	resp, body := postJSON(t, ts.URL+"/v1/coverage", coverageBody)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != string(cacheHit) {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != string(memo.Hit) {
 		t.Fatalf("retry: status %d X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 	if !bytes.Equal(body, served) {

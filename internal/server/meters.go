@@ -177,23 +177,9 @@ func (s *Server) handleDistortion(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidPlan, err.Error())
 		return
 	}
-	key := distortionKey(norm)
-	body, status, err := s.cache.Do(r.Context(), s.base, key, func(ctx context.Context) ([]byte, bool, error) {
+	s.serveCached(w, r, distortionKey(norm), "distortion", func(ctx context.Context) ([]byte, bool, error) {
 		return s.computeDistortion(ctx, norm)
 	})
-	w.Header().Set("X-Cache", string(status))
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, "distortion study did not finish within the request budget")
-		case errors.Is(err, context.Canceled):
-			writeError(w, http.StatusServiceUnavailable, codeUnavailable, "distortion study canceled")
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
-		return
-	}
-	writeBody(w, http.StatusOK, body)
 }
 
 // computeDistortion executes one coalesced study: simulate the target

@@ -209,7 +209,7 @@ func TestHealthSplit(t *testing.T) {
 // requests shed, then expects the shed-rate check to trip.
 func TestReadinessDegradesUnderShedStorm(t *testing.T) {
 	gate := make(chan struct{})
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, ReadyMaxShedRate: 0.5})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	s.coverageGate = func(ctx context.Context) error {
 		select {
 		case <-gate:

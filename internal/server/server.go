@@ -14,22 +14,22 @@
 // timeout wired into the CoverageStudyCtx cancellation stack (a study
 // abandoned by all of its waiters is canceled at its next chunk
 // boundary), and instruments everything through the internal/obs
-// registry, exported at /debug/metrics, /debug/vars and /debug/pprof.
+// registry, exported at /metrics and /debug/metrics, with profiling
+// under /debug/pprof/.
 package server
 
 import (
 	"context"
-	"expvar"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nodevar/internal/dist"
 	"nodevar/internal/fleet"
+	"nodevar/internal/memo"
 	"nodevar/internal/obs"
 )
 
@@ -50,6 +50,14 @@ var (
 	mAbandoned      = obs.NewCounter("server.coverage.abandoned")
 	hStudy          = obs.NewHistogram("server.coverage.study_seconds",
 		[]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120})
+
+	cacheCounters = memo.Counters{
+		Hits:      mCacheHits,
+		Misses:    mCacheMisses,
+		Coalesced: mCacheCoalesced,
+		Evictions: mCacheEvicted,
+		Abandoned: mAbandoned,
+	}
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -112,14 +120,6 @@ type Config struct {
 	// SLOObjective is the per-endpoint success-fraction objective behind
 	// the error-budget readiness check. Default 0.99.
 	SLOObjective float64
-	// SLOLatencyTargets overrides per-endpoint latency targets in
-	// seconds; a request slower than its endpoint's target burns error
-	// budget even when it succeeds. Defaults: 30s for coverage (a
-	// bootstrap study is legitimately slow), 250ms for everything else.
-	SLOLatencyTargets map[string]float64
-	// ReadyMaxShedRate is the fraction of requests shed over the trailing
-	// readiness window past which /healthz/ready degrades. Default 0.5.
-	ReadyMaxShedRate float64
 	// MaxFleets caps how many named streaming fleets the server tracks;
 	// past the cap, the least-recently-ingested fleet is evicted. Default
 	// fleet.DefaultMaxFleets (64).
@@ -139,8 +139,10 @@ type Config struct {
 	Dist *dist.Frontend
 }
 
-// defaultSLOTargets are the built-in per-endpoint latency targets in
-// seconds (see Config.SLOLatencyTargets).
+// defaultSLOTargets are the per-endpoint latency targets in seconds; a
+// request slower than its endpoint's target burns error budget even
+// when it succeeds. A bootstrap study is legitimately slow, so coverage
+// and distortion get 30s.
 var defaultSLOTargets = map[string]float64{
 	"samplesize":       0.25,
 	"accuracy":         0.25,
@@ -156,10 +158,7 @@ var defaultSLOTargets = map[string]float64{
 }
 
 // sloTarget resolves one endpoint's latency target.
-func (s *Server) sloTarget(name string) float64 {
-	if t, ok := s.cfg.SLOLatencyTargets[name]; ok && t > 0 {
-		return t
-	}
+func sloTarget(name string) float64 {
 	if t, ok := defaultSLOTargets[name]; ok {
 		return t
 	}
@@ -174,7 +173,7 @@ type Server struct {
 	access   *slog.Logger
 	base     context.Context
 	sem      chan struct{}
-	cache    *resultCache
+	cache    *memo.Cache[string, []byte]
 	dist     *dist.Frontend
 	fleets   *fleet.Registry
 	traces   *obs.TraceStore
@@ -240,9 +239,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxDistortionNodes <= 0 {
 		cfg.MaxDistortionNodes = 256
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 128
-	}
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
@@ -251,9 +247,6 @@ func New(cfg Config) *Server {
 	}
 	if !(cfg.SLOObjective > 0 && cfg.SLOObjective < 1) {
 		cfg.SLOObjective = 0.99
-	}
-	if cfg.ReadyMaxShedRate <= 0 || cfg.ReadyMaxShedRate > 1 {
-		cfg.ReadyMaxShedRate = 0.5
 	}
 	if cfg.MaxFleets <= 0 {
 		cfg.MaxFleets = fleet.DefaultMaxFleets
@@ -270,7 +263,7 @@ func New(cfg Config) *Server {
 		access:    cfg.AccessLog,
 		base:      cfg.BaseContext,
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
-		cache:     newResultCache(cfg.CacheEntries),
+		cache:     memo.New[string, []byte](cfg.CacheEntries, cacheCounters),
 		dist:      cfg.Dist,
 		endpoints: map[string]*endpointObs{},
 	}
@@ -307,17 +300,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleLive)
 	mux.HandleFunc("GET /healthz/live", s.handleLive)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	mux.Handle("GET /metrics", obs.PromHandler())
-	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		obs.Default().Snapshot().WriteJSON(w)
-	})
-	obs.PublishExpvar()
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	obs.HandleDebug(mux)
 	return mux
 }

@@ -1,18 +1,19 @@
 package systems
 
 import (
+	"context"
 	"strconv"
-	"sync"
 	"time"
 
 	"nodevar/internal/hpl"
+	"nodevar/internal/memo"
 	"nodevar/internal/obs"
 	"nodevar/internal/power"
 )
 
 // Cache metrics: hits are calls served without running a fit (including
 // concurrent waiters piggybacking on an in-flight one), misses are the
-// calls that ran the fit.
+// calls that ran the fit, evictions the entries dropped by a reset.
 var (
 	mCalHits      = obs.NewCounter("systems.calibration_cache.hits")
 	mCalMisses    = obs.NewCounter("systems.calibration_cache.misses")
@@ -28,7 +29,8 @@ var (
 // over and over: Table 2, Figure 1, the gaming study and cmd/repro all
 // calibrate the same four machines. The cache memoizes the deterministic
 // fit result and deduplicates concurrent requests singleflight-style, so
-// each distinct calibration runs exactly once per process.
+// each distinct calibration runs exactly once per process. Fit errors
+// are not stored; the fit is pure, so a retry fails the same way.
 //
 // Correctness relies on two facts: the fit is a pure function of the key
 // (no RNG), and the returned trace is immutable by convention (Samples()
@@ -46,15 +48,24 @@ type calKey struct {
 	hpl     hpl.Config
 }
 
-// calEntry is one cache slot; once guards the single fit.
-type calEntry struct {
-	once sync.Once
-	tr   *power.Trace
-	cal  *Calibration
-	err  error
+// calibration is one memoized fit.
+type calibration struct {
+	tr  *power.Trace
+	cal *Calibration
 }
 
-var calCache sync.Map // calKey -> *calEntry
+// calCacheEntries bounds the cache. The traced systems at the few
+// resolutions repro -exp all and the test suite use come to at most 12
+// distinct keys between resets, so nothing they ask for is evicted
+// short of a reset.
+const calCacheEntries = 64
+
+var calCache = memo.New[calKey, calibration](calCacheEntries, memo.Counters{
+	Hits:      mCalHits,
+	Misses:    mCalMisses,
+	Coalesced: mCalHits,
+	Evictions: mCalEvictions,
+})
 
 // CalibratedTrace returns the calibrated system power trace and fit
 // parameters for a Table 2 system, memoized per (system, resolution).
@@ -69,32 +80,22 @@ func CalibratedTrace(s Spec, samples int) (*power.Trace, *Calibration, error) {
 		samples = defaultTraceSamples
 	}
 	k := calKey{key: s.Key, samples: samples, targets: *s.Trace, hpl: s.HPL}
-	v, _ := calCache.LoadOrStore(k, &calEntry{})
-	e := v.(*calEntry)
-	fitted := false
-	e.once.Do(func() {
-		fitted = true
-		mCalMisses.Inc()
+	ctx := context.Background()
+	c, _, err := calCache.Do(ctx, ctx, k, func(context.Context) (calibration, bool, error) {
 		sp := obs.T().Start("calibration", s.Key)
 		sp.Attr("samples", strconv.Itoa(samples))
 		t0 := time.Now()
-		e.tr, e.cal, e.err = CalibratedTraceUncached(s, samples)
+		tr, cal, err := CalibratedTraceUncached(s, samples)
 		hCalFit.Observe(time.Since(t0).Seconds())
 		sp.End()
+		return calibration{tr, cal}, true, err
 	})
-	if !fitted {
-		mCalHits.Inc()
-	}
-	return e.tr, e.cal, e.err
+	return c.tr, c.cal, err
 }
 
 // ResetCalibrationCache drops every memoized calibration. It exists for
 // benchmarks and tests that need to measure or exercise the cold path.
 func ResetCalibrationCache() {
 	mCalResets.Inc()
-	calCache.Range(func(k, _ any) bool {
-		calCache.Delete(k)
-		mCalEvictions.Inc()
-		return true
-	})
+	calCache.Reset()
 }
