@@ -9,13 +9,17 @@ FLEET_FUZZTIME ?= 30s
 DIST_FUZZTIME ?= 30s
 METER_FUZZTIME ?= 30s
 
-.PHONY: build test vet race check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
+.PHONY: build test vet fmt-check race check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file is not gofmt-formatted, naming the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -64,9 +68,9 @@ interrupt:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# The full pre-commit gate: vet, build, the test suite under the race
-# detector, fuzz smoke, and the coverage floor.
-check: vet build race fuzz-smoke cover-check
+# The full pre-commit gate: formatting, vet, build, the test suite under
+# the race detector, fuzz smoke, and the coverage floor.
+check: fmt-check vet build race fuzz-smoke cover-check
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .

@@ -65,12 +65,12 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00",
-		"00-" + id.String(),                                             // missing fields
-		"ff-" + id.String() + "-" + sp.String() + "-01",                 // forbidden version
-		"00-" + strings.Repeat("0", 32) + "-" + sp.String() + "-01",     // zero trace
-		"00-" + id.String() + "-" + strings.Repeat("0", 16) + "-01",     // zero parent
-		"00-" + strings.Repeat("z", 32) + "-" + sp.String() + "-01",     // non-hex trace
-		"00x" + id.String() + "-" + sp.String() + "-01",                 // wrong separator
+		"00-" + id.String(), // missing fields
+		"ff-" + id.String() + "-" + sp.String() + "-01",             // forbidden version
+		"00-" + strings.Repeat("0", 32) + "-" + sp.String() + "-01", // zero trace
+		"00-" + id.String() + "-" + strings.Repeat("0", 16) + "-01", // zero parent
+		"00-" + strings.Repeat("z", 32) + "-" + sp.String() + "-01", // non-hex trace
+		"00x" + id.String() + "-" + sp.String() + "-01",             // wrong separator
 	} {
 		if _, _, _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q): want error", bad)

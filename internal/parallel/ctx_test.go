@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nodevar/internal/rng"
 )
@@ -103,6 +104,10 @@ func TestWorkerPanicCountsMetricAndAborts(t *testing.T) {
 		if i == 0 {
 			panic("first item dies")
 		}
+		// Items take real time, as in every caller: with empty items a
+		// second worker can finish all 63 while the first is still
+		// unwinding its panic, and there is nothing left to abandon.
+		time.Sleep(20 * time.Microsecond)
 		after.Add(1)
 	})
 	var pe *PanicError

@@ -130,10 +130,12 @@ func exec(ctx context.Context, items, workers int, ranges []Range, body func(ci 
 	runRange := func(ci int) {
 		defer func() {
 			if v := recover(); v != nil {
+				// Stop the other workers claiming ranges before the
+				// stack capture, which takes longer than many items.
+				aborted.Store(true)
 				mParPanics.Inc()
 				pe := &PanicError{Value: v, Stack: debug.Stack()}
 				panicOnce.Do(func() { pErr = pe })
-				aborted.Store(true)
 			}
 		}()
 		// Inside a traced request each claimed range gets its own span

@@ -16,10 +16,10 @@ import (
 // per sample; the reported total is therefore a slight undercount (up to
 // cursorReadFlush-1 per cursor).
 var (
-	mIndexBuilds  = obs.NewCounter("power.trace.index_builds")
-	mAtSlowReads  = obs.NewCounter("power.trace.at_slowpath_reads")
-	mCursors      = obs.NewCounter("power.trace.cursors")
-	mCursorReads  = obs.NewCounter("power.trace.cursor_fastpath_reads")
+	mIndexBuilds = obs.NewCounter("power.trace.index_builds")
+	mAtSlowReads = obs.NewCounter("power.trace.at_slowpath_reads")
+	mCursors     = obs.NewCounter("power.trace.cursors")
+	mCursorReads = obs.NewCounter("power.trace.cursor_fastpath_reads")
 )
 
 // cursorReadFlush is the cursor-read batch size (a power of two so the

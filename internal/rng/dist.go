@@ -3,21 +3,56 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // This file holds the discrete-distribution kernels behind the
-// count-based bootstrap: exact binomial and hypergeometric samplers and
-// the conditional-decomposition multinomial / multivariate
-// hypergeometric draws built on them. The design constraint throughout
-// is O(1) or O(sd) expected work per variate with zero heap allocation,
-// so that a coverage-study replicate costs O(pilot) regardless of the
-// simulated machine size.
+// count-based bootstrap: an exact binomial sampler and the
+// recursive-halving multinomial draw built on it. The design constraint
+// throughout is O(1) expected work per variate with zero heap
+// allocation, so that a coverage-study replicate costs O(pilot)
+// regardless of the simulated machine size.
 
 // lgamma is math.Lgamma without the sign return, for log-pmf arithmetic.
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
 }
+
+// logFactCap bounds the log-factorial table: BTRS populations below it
+// read log(i!) from the table, larger ones call lgamma. It covers every
+// machine the repository models (the largest, LRZ, has 9216 nodes) for
+// 128 KiB.
+const logFactCap = 1 << 14
+
+// logFactTable returns the table t[i] = lgamma(i+1) for
+// 0 <= i < logFactCap, built on first use. Entries come from the same
+// lgamma the fallback path calls, so a table read and a direct call
+// agree bit for bit.
+var logFactTable = sync.OnceValue(func() []float64 {
+	t := make([]float64, logFactCap)
+	for i := range t {
+		t[i] = lgamma(float64(i) + 1)
+	}
+	return t
+})
+
+// logOddsCap bounds the odd cell counts k whose halving log-odds are
+// memoized; splits of more cells, near the root of a larger tree, leave
+// BTRS to compute them.
+const logOddsCap = 1 << 10
+
+// logOdds[l] is log(p/(1-p)) for the odd split p = l/(2l+1) of the
+// halving tree, computed with the expression binomialBTRS uses, so a
+// memoized value equals the one BTRS would compute.
+var logOdds = func() (t [logOddsCap / 2]float64) {
+	for l := range t {
+		p := float64(l) / float64(2*l+1)
+		q := 1 - p
+		t[l] = math.Log(p / q)
+	}
+	return t
+}()
 
 // btrsCutoff splits Binomial between plain inversion and the BTRS
 // transformed-rejection sampler: below it the inversion walk is short
@@ -55,13 +90,10 @@ func (r *Rand) Binomial(n int, p float64) int {
 		q = 1 - p
 	}
 	var k int
-	switch {
-	case q == 0.5:
+	if q == 0.5 {
 		k = r.binomialHalf(n)
-	case float64(n)*q < btrsCutoff:
-		k = r.binomialInv(n, q)
-	default:
-		k = r.binomialBTRS(n, q)
+	} else {
+		k = r.binomialBelowHalf(n, q, math.NaN())
 	}
 	if flipped {
 		k = n - k
@@ -81,7 +113,7 @@ const popcountCutoff = 2048
 // every even split is a fair coin.
 func (r *Rand) binomialHalf(n int) int {
 	if n > popcountCutoff {
-		return r.binomialBTRS(n, 0.5)
+		return r.binomialBTRS(n, 0.5, 0)
 	}
 	k := 0
 	for ; n >= 64; n -= 64 {
@@ -91,6 +123,16 @@ func (r *Rand) binomialHalf(n int) int {
 		k += bits.OnesCount64(r.Uint64() & (1<<uint(n) - 1))
 	}
 	return k
+}
+
+// binomialBelowHalf dispatches Binomial(n, p) for 0 < p < 1/2 between
+// inversion and BTRS. lpq is log(p/(1-p)) when the caller has it
+// memoized, NaN to let BTRS compute it.
+func (r *Rand) binomialBelowHalf(n int, p, lpq float64) int {
+	if float64(n)*p < btrsCutoff {
+		return r.binomialInv(n, p)
+	}
+	return r.binomialBTRS(n, p, lpq)
 }
 
 // binomialInv is CDF inversion from zero (BINV): one uniform, then a
@@ -111,8 +153,9 @@ func (r *Rand) binomialInv(n int, p float64) int {
 }
 
 // binomialBTRS is Hörmann's BTRS sampler (transformed rejection with
-// squeeze, 1993). Requires 0 < p <= 1/2 and n·p >= 10.
-func (r *Rand) binomialBTRS(n int, p float64) int {
+// squeeze, 1993). Requires 0 < p <= 1/2 and n·p >= 10. lpq is
+// log(p/(1-p)) if the caller has it, NaN otherwise.
+func (r *Rand) binomialBTRS(n int, p, lpq float64) int {
 	fn := float64(n)
 	q := 1 - p
 	spq := math.Sqrt(fn * p * q)
@@ -120,11 +163,15 @@ func (r *Rand) binomialBTRS(n int, p float64) int {
 	a := -0.0873 + 0.0248*b + 0.01*p
 	c := fn*p + 0.5
 	vr := 0.92 - 4.2/b
-	// The transcendental-heavy constants (two Lgammas, two Logs) are
-	// deferred until a candidate actually fails the squeeze: the majority
-	// of calls accept inside it, and in the multinomial decomposition
-	// every call has fresh (n, p) so nothing amortizes across calls.
-	var alpha, lpq, m, h float64
+	// The transcendental-heavy constants are deferred until a candidate
+	// actually fails the squeeze: the majority of calls accept inside
+	// it, and in the multinomial decomposition every call has fresh
+	// (n, p) so nothing amortizes across calls. The log-factorials are
+	// table reads below logFactCap (lf stays nil above it), and only
+	// integer arguments ever reach them: k and m are whole numbers in
+	// [0, n], so fn-k is exactly n-int(k).
+	var alpha, m, h float64
+	var lf []float64
 	ready := false
 	for {
 		u := r.Float64() - 0.5
@@ -141,136 +188,29 @@ func (r *Rand) binomialBTRS(n int, p float64) int {
 		}
 		if !ready {
 			alpha = (2.83 + 5.1/b) * spq
-			lpq = math.Log(p / q)
+			if math.IsNaN(lpq) {
+				lpq = math.Log(p / q)
+			}
 			m = math.Floor((fn + 1) * p)
-			h = lgamma(m+1) + lgamma(fn-m+1)
+			if n < logFactCap {
+				lf = logFactTable()
+				h = lf[int(m)] + lf[n-int(m)]
+			} else {
+				h = lgamma(m+1) + lgamma(fn-m+1)
+			}
 			ready = true
 		}
+		var lk, lnk float64
+		if lf != nil {
+			lk, lnk = lf[int(k)], lf[n-int(k)]
+		} else {
+			lk, lnk = lgamma(k+1), lgamma(fn-k+1)
+		}
 		v = math.Log(v * alpha / (a/(us*us) + b))
-		if v <= h-lgamma(k+1)-lgamma(fn-k+1)+(k-m)*lpq {
+		if v <= h-lk-lnk+(k-m)*lpq {
 			return int(k)
 		}
 	}
-}
-
-// Hypergeometric returns a variate with the Hypergeometric(nGood, nBad,
-// draws) distribution: the number of "good" items in a uniform
-// without-replacement sample of size draws from a population of
-// nGood+nBad. It panics on negative arguments or draws > nGood+nBad.
-//
-// The sampler first applies the two exact symmetries (complementing the
-// sample, swapping good/bad) to shrink the working parameters, then
-// inverts the CDF starting from the mode, walking outward with the pmf
-// recurrence. Expected cost is O(1 + sd) with sd <= sqrt(draws)/2 and no
-// allocation; starting at the mode (whose pmf is evaluated once in log
-// space) keeps the walk short and immune to the tail underflow that
-// breaks inversion from zero.
-func (r *Rand) Hypergeometric(nGood, nBad, draws int) int {
-	if nGood < 0 || nBad < 0 || draws < 0 {
-		panic("rng: negative argument to Hypergeometric")
-	}
-	total := nGood + nBad
-	if draws > total {
-		panic("rng: draws exceed population in Hypergeometric")
-	}
-	// Degenerate cases resolve without consuming randomness; callers
-	// (the multivariate decomposition) rely on that to skip exhausted
-	// cells cheaply and deterministically.
-	if draws == 0 || nGood == 0 {
-		return 0
-	}
-	if nBad == 0 {
-		return draws
-	}
-	if draws == total {
-		return nGood
-	}
-	// Symmetry 1: sampling draws items fixes the complement too, and
-	// good items split between them, so x ~ nGood - Hyper(draws'=total-draws).
-	k, complemented := draws, false
-	if 2*k > total {
-		k, complemented = total-k, true
-	}
-	// Symmetry 2: counting bad items instead of good, x ~ k - Hyper(swap).
-	good, bad, swapped := nGood, nBad, false
-	if good > bad {
-		good, bad, swapped = bad, good, true
-	}
-	x := r.hyperInvMode(good, bad, k)
-	if swapped {
-		x = k - x
-	}
-	if complemented {
-		x = nGood - x
-	}
-	return x
-}
-
-// hyperInvMode inverts the Hypergeometric(good, bad, k) CDF from the
-// mode outward. Requires the non-degenerate reduced case: 0 < k,
-// 0 < good <= bad, k <= (good+bad)/2.
-func (r *Rand) hyperInvMode(good, bad, k int) int {
-	total := good + bad
-	lo := k - bad
-	if lo < 0 {
-		lo = 0
-	}
-	hi := k
-	if good < hi {
-		hi = good
-	}
-	mode := (k + 1) * (good + 1) / (total + 2)
-	if mode < lo {
-		mode = lo
-	}
-	if mode > hi {
-		mode = hi
-	}
-	// log pmf(mode) = log C(good, mode) + log C(bad, k-mode) - log C(total, k).
-	lpm := lchoose(good, mode) + lchoose(bad, k-mode) - lchoose(total, k)
-	pm := math.Exp(lpm)
-	u := r.Float64()
-	if u < pm {
-		return mode
-	}
-	u -= pm
-	// Walk outward from the mode, alternating sides; probabilities decay
-	// geometrically past one sd, so the expected number of steps is O(sd).
-	pu, pd := pm, pm
-	xu, xd := mode, mode
-	for {
-		moved := false
-		if xu < hi {
-			pu *= float64(good-xu) * float64(k-xu) /
-				(float64(xu+1) * float64(bad-k+xu+1))
-			xu++
-			if u < pu {
-				return xu
-			}
-			u -= pu
-			moved = true
-		}
-		if xd > lo {
-			pd *= float64(xd) * float64(bad-k+xd) /
-				(float64(good-xd+1) * float64(k-xd+1))
-			xd--
-			if u < pd {
-				return xd
-			}
-			u -= pd
-			moved = true
-		}
-		if !moved {
-			// The support is exhausted and u is a rounding residue of the
-			// accumulated pmf; the mode is the maximum-probability answer.
-			return mode
-		}
-	}
-}
-
-// lchoose returns log C(n, k) for 0 <= k <= n.
-func lchoose(n, k int) float64 {
-	return lgamma(float64(n)+1) - lgamma(float64(k)+1) - lgamma(float64(n-k)+1)
 }
 
 // MultinomialEqual draws counts from the equal-probability
@@ -336,9 +276,15 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 			// the locals around the call.
 			r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 			if k&1 != 0 {
-				x = r.Binomial(cur.n, float64(l)/float64(k))
+				// p = l/k < 1/2, so this is Binomial's own no-flip path,
+				// with the log-odds memoized per k.
+				lpq := math.NaN()
+				if k < logOddsCap {
+					lpq = logOdds[l]
+				}
+				x = r.binomialBelowHalf(cur.n, float64(l)/float64(k), lpq)
 			} else {
-				x = r.binomialBTRS(cur.n, 0.5)
+				x = r.binomialBTRS(cur.n, 0.5, 0)
 			}
 			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
 		} else {
@@ -391,45 +337,6 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 		}
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
-// MultivariateHypergeometric draws a without-replacement sample of size
-// draws from a population described by counts (counts[i] items of kind
-// i) and stores the per-kind sampled counts in dst. It panics if dst
-// and counts differ in length or draws exceeds the population. The
-// conditional decomposition costs O(len(counts) + sd work per cell) and
-// allocates nothing: cell i is Hypergeometric over the items of kind i
-// versus everything after it, conditioned on the draws already spent.
-func (r *Rand) MultivariateHypergeometric(counts []int, draws int, dst []int) {
-	if len(dst) != len(counts) {
-		panic("rng: MultivariateHypergeometric dst/counts length mismatch")
-	}
-	total := 0
-	for _, c := range counts {
-		if c < 0 {
-			panic("rng: negative count in MultivariateHypergeometric")
-		}
-		total += c
-	}
-	if draws < 0 || draws > total {
-		panic("rng: draws outside [0, population] in MultivariateHypergeometric")
-	}
-	rem := draws
-	remTotal := total
-	for i, c := range counts {
-		if rem == 0 {
-			dst[i] = 0
-			continue
-		}
-		if i == len(counts)-1 {
-			dst[i] = rem
-			return
-		}
-		x := r.Hypergeometric(c, remTotal-c, rem)
-		dst[i] = x
-		rem -= x
-		remTotal -= c
-	}
 }
 
 // Uint64Block fills dst with consecutive outputs of the generator,

@@ -32,13 +32,6 @@ func binomPMF(n int, p float64, x int) float64 {
 	return math.Exp(lchoose(n, x) + float64(x)*math.Log(p) + float64(n-x)*math.Log1p(-p))
 }
 
-func hyperPMF(good, bad, draws, x int) float64 {
-	if x < 0 || x > good || x > draws || draws-x > bad {
-		return 0
-	}
-	return math.Exp(lchoose(good, x) + lchoose(bad, draws-x) - lchoose(good+bad, draws))
-}
-
 // chiSquareP tallies draws from sample over the support [lo, hi], merges
 // adjacent cells until each expects at least 5 counts, and returns the
 // chi-square goodness-of-fit p-value against pmf.
@@ -150,65 +143,6 @@ func TestBinomialEdgeCases(t *testing.T) {
 	}()
 }
 
-func TestHypergeometricGOF(t *testing.T) {
-	cases := []struct {
-		name             string
-		good, bad, draws int
-		seed             uint64
-	}{
-		{"sparse", 8, 200, 30, 201},           // tiny expected count
-		{"balanced", 50, 50, 40, 202},         // mid-size walk
-		{"complement", 300, 200, 380, 203},    // draws > N/2 → complement symmetry
-		{"swap", 120, 30, 60, 204},            // good > bad → swap symmetry
-		{"both_symmetries", 90, 60, 110, 205}, // complement then swap
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := rng.New(tc.seed)
-			lo := tc.draws - tc.bad
-			if lo < 0 {
-				lo = 0
-			}
-			hi := tc.draws
-			if tc.good < hi {
-				hi = tc.good
-			}
-			p := chiSquareP(t,
-				func() int { return r.Hypergeometric(tc.good, tc.bad, tc.draws) },
-				func(x int) float64 { return hyperPMF(tc.good, tc.bad, tc.draws, x) },
-				lo, hi, 20000)
-			if p < 0.001 {
-				t.Errorf("Hypergeometric(%d, %d, %d) GOF p-value = %v",
-					tc.good, tc.bad, tc.draws, p)
-			}
-		})
-	}
-}
-
-func TestHypergeometricEdgeCases(t *testing.T) {
-	r := rng.New(2)
-	if got := r.Hypergeometric(5, 5, 0); got != 0 {
-		t.Errorf("draws=0 → %d", got)
-	}
-	if got := r.Hypergeometric(0, 9, 4); got != 0 {
-		t.Errorf("good=0 → %d", got)
-	}
-	if got := r.Hypergeometric(6, 0, 4); got != 4 {
-		t.Errorf("bad=0 → %d", got)
-	}
-	if got := r.Hypergeometric(6, 3, 9); got != 6 {
-		t.Errorf("draws=N → %d", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("draws > N did not panic")
-			}
-		}()
-		r.Hypergeometric(3, 3, 7)
-	}()
-}
-
 func TestMultinomialEqualMarginalsAndSum(t *testing.T) {
 	r := rng.New(301)
 	const n, k, trials = 1000, 6, 4000
@@ -236,41 +170,6 @@ func TestMultinomialEqualMarginalsAndSum(t *testing.T) {
 		0, n, trials)
 	if p < 0.001 {
 		t.Errorf("MultinomialEqual cell marginal GOF p-value = %v", p)
-	}
-}
-
-func TestMultivariateHypergeometricMarginalsAndSum(t *testing.T) {
-	r := rng.New(401)
-	src := []int{5, 40, 20, 3, 60}
-	total := 0
-	for _, c := range src {
-		total += c
-	}
-	const draws, trials = 35, 4000
-	dst := make([]int, len(src))
-	cell1 := make([]int, trials)
-	for tr := 0; tr < trials; tr++ {
-		r.MultivariateHypergeometric(src, draws, dst)
-		sum := 0
-		for i, c := range dst {
-			if c < 0 || c > src[i] {
-				t.Fatalf("cell %d drew %d of %d available", i, c, src[i])
-			}
-			sum += c
-		}
-		if sum != draws {
-			t.Fatalf("sample sums to %d, want %d", sum, draws)
-		}
-		cell1[tr] = dst[1]
-	}
-	// Marginal of cell i is Hypergeometric(src[i], total-src[i], draws).
-	i := 0
-	p := chiSquareP(t,
-		func() int { x := cell1[i]; i++; return x },
-		func(x int) float64 { return hyperPMF(src[1], total-src[1], draws, x) },
-		0, draws, trials)
-	if p < 0.001 {
-		t.Errorf("MultivariateHypergeometric cell marginal GOF p-value = %v", p)
 	}
 }
 
@@ -321,7 +220,6 @@ func TestResampleFloat64s(t *testing.T) {
 func TestDistSamplersAllocationFree(t *testing.T) {
 	r := rng.New(9)
 	counts := make([]int, 516)
-	sub := make([]int, 516)
 	src := make([]float64, 516)
 	dst := make([]float64, 516)
 	for i := range src {
@@ -329,9 +227,18 @@ func TestDistSamplersAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.MultinomialEqual(9216, counts)
-		r.MultivariateHypergeometric(counts, 50, sub)
 	}); n != 0 {
-		t.Errorf("multinomial+hypergeometric draw allocates %v per run", n)
+		t.Errorf("multinomial draw allocates %v per run", n)
+	}
+	// BTRS range, below and above the log-factorial table cap; the
+	// table is built on first use, before AllocsPerRun starts counting.
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			r.Binomial(9216, 0.3)
+			r.Binomial(1<<20, 0.3)
+		}
+	}); n != 0 {
+		t.Errorf("BTRS Binomial draw allocates %v per run", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.ResampleFloat64s(dst, src)
@@ -374,22 +281,27 @@ func BenchmarkBinomial(b *testing.B) {
 	}
 }
 
-func BenchmarkHypergeometric(b *testing.B) {
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Hypergeometric(18, 9198, 50)
-	}
-}
-
 // BenchmarkMultinomialEqual is the RNG cost of one count-based machine
-// draw on the LRZ shape (pilot 516, N 9216).
+// draw: on the LRZ shape (pilot 516, N 9216) most splits of the halving
+// tree are even and go to popcount; on the 600-cell robustness-study
+// shape the odd splits send most of the work through BTRS.
 func BenchmarkMultinomialEqual(b *testing.B) {
-	r := rng.New(1)
-	counts := make([]int, 516)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.MultinomialEqual(9216, counts)
+	cases := []struct {
+		name     string
+		cells, n int
+	}{
+		{"lrz_516", 516, 9216},
+		{"robust_600", 600, 9216},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			r := rng.New(1)
+			counts := make([]int, tc.cells)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.MultinomialEqual(tc.n, counts)
+			}
+		})
 	}
 }
 

@@ -65,7 +65,7 @@ func TestBootstrapCICtxCanceled(t *testing.T) {
 		}
 		return v[0]
 	}
-	iv2, err := BootstrapCICtx(ctx2, xs, counting, 1 << 20, 0.95, 42)
+	iv2, err := BootstrapCICtx(ctx2, xs, counting, 1<<20, 0.95, 42)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
