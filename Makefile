@@ -3,7 +3,7 @@ TRACE_OUT ?= trace.json
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 80
 CHAOS_SEEDS ?= 8
-CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,meterdrop=0.05,nodedrop=0.15
+CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,nodedrop=0.15
 
 FLEET_FUZZTIME ?= 30s
 DIST_FUZZTIME ?= 30s
@@ -48,18 +48,18 @@ cover-check:
 	  awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN{exit !(p+0 >= f)}' || { echo "FAIL: $$pkg below the $(COVER_FLOOR)% coverage floor"; exit 1; }; \
 	done
 
-# The chaos gate: the harness invariants under the race detector, then
-# the chaos command replaying the reference schedule across seeds.
+# The chaos gate: the chaos command replaying the reference schedule
+# across seeds. The harness invariant tests (./internal/faults/...) run
+# under the race detector in `make check`.
 chaos:
-	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) run ./cmd/chaos -seeds $(CHAOS_SEEDS) -faults "$(CHAOS_FAULTS)"
 
-# The interrupt/resume gate: the resumetest harness (randomized seeded
-# cancel points, resume, byte-identical final output), the checkpoint
-# codec, and the signal/exit-code plumbing, all under the race detector,
-# plus the end-to-end SIGINT test against the real repro binary.
+# The interrupt/resume gate: the end-to-end SIGINT test against the real
+# repro binary, without the race detector. The resumetest harness
+# (randomized seeded cancel points, resume, byte-identical final output),
+# the checkpoint codec and the signal/exit-code plumbing run under the
+# race detector in `make check`.
 interrupt:
-	$(GO) test -race -count=1 ./internal/sampling/resumetest ./internal/checkpoint ./internal/cli
 	$(GO) test -count=1 -run TestReproInterrupt .
 
 # Scan the module against the Go vulnerability database. Needs network
@@ -115,38 +115,34 @@ SERVE_ADDR ?= :8080
 serve:
 	$(GO) run ./cmd/nodevard -addr $(SERVE_ADDR)
 
-# The streaming-fleet gate: the exact-sum/sketch/fleet/server suites and
-# the batch-equivalence replay harness (8 seeds, randomized batch splits
-# and duplicate re-sends, bit-identical moments/CI/recommendations) under
-# the race detector, then the ingest-decoder and quantile-sketch fuzz
-# targets. go test accepts one -fuzz target per invocation, hence the
-# separate runs.
+# The streaming-fleet gate: the ingest-decoder and quantile-sketch fuzz
+# targets. The exact-sum/sketch/fleet/server suites and the
+# batch-equivalence replay harness (8 seeds, randomized batch splits and
+# duplicate re-sends, bit-identical moments/CI/recommendations) run under
+# the race detector in `make check`. go test accepts one -fuzz target per
+# invocation, hence the separate runs.
 fleet-check:
-	$(GO) test -race -count=1 ./internal/stats ./internal/fleet/... ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=$(FLEET_FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileSketch -fuzztime=$(FLEET_FUZZTIME) ./internal/stats
 
-# The distributed-serving gate: the dist package (ring, protocol,
-# worker, frontend, net-fault chaos composition) under the race
-# detector, the two-worker SIGKILL failover suite with byte-identity
-# against a single-process reference across four seeds, the 1-vs-4
-# worker loadgen scaling proof (>=2x completed studies, zero 5xx), and
-# the job-envelope decoder fuzz target.
+# The distributed-serving gate: the 1-vs-4 worker loadgen scaling proof
+# (>=2x completed studies, zero 5xx) and the job-envelope decoder fuzz
+# target. The dist package (ring, protocol, worker, frontend, net-fault
+# chaos composition) and the two-worker SIGKILL failover suite with
+# byte-identity against a single-process reference across four seeds run
+# under the race detector in `make check`.
 dist-check:
-	$(GO) test -race -count=1 ./internal/dist/... ./internal/faults
-	$(GO) test -race -count=1 -run TestDistFailoverE2E .
 	NODEVAR_DIST_SCALE=1 $(GO) test -count=1 -run TestDistScalingGate .
 	$(GO) test -run='^$$' -fuzz=FuzzJobDecode -fuzztime=$(DIST_FUZZTIME) ./internal/dist
 
-# The meter-model gate: the instrument stack (drift-free sampling grid,
-# quantizer rounding, windowed/OCC architectures), the workload layer it
-# measures, and the methodology distortion comparison, all under the
-# race detector, then the spec and model fuzz targets (arbitrary specs
-# and windows: no panics, exact sample grids, bounded averages). go test
-# accepts one -fuzz target per invocation, hence the separate runs.
+# The meter-model gate: the spec and model fuzz targets (arbitrary specs
+# and windows: no panics, exact sample grids, bounded averages). The
+# instrument stack (drift-free sampling grid, quantizer rounding,
+# windowed/OCC architectures), the workload layer it measures and the
+# methodology distortion comparison run under the race detector in
+# `make check`. go test accepts one -fuzz target per invocation, hence
+# the separate runs.
 meter-check:
-	$(GO) test -race -count=1 ./internal/meter ./internal/workload ./internal/methodology ./internal/systems
-	$(GO) test -race -count=1 -run 'TestMeters|TestDistortion' ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzMeterSpec -fuzztime=$(METER_FUZZTIME) ./internal/meter
 	$(GO) test -run='^$$' -fuzz=FuzzMeterModels -fuzztime=$(METER_FUZZTIME) ./internal/meter
 
@@ -157,12 +153,11 @@ meter-check:
 loadcheck:
 	$(GO) test -race -count=1 -run TestServerLoad ./internal/server
 
-# The observability gate: the obs and server suites under the race
-# detector (alloc gates self-skip there), then the zero-alloc assertions
-# and the disabled-path/resolved-vec benchmarks without it — the serving
-# hot path must stay allocation-free when tracing is off and handles are
-# resolved.
+# The observability gate: the zero-alloc assertions and the
+# disabled-path/resolved-vec benchmarks without the race detector — the
+# serving hot path must stay allocation-free when tracing is off and
+# handles are resolved. The obs and server suites run under the race
+# detector in `make check`, where the alloc gates self-skip.
 obs-serve-check:
-	$(GO) test -race -count=1 ./internal/obs/... ./internal/server/...
 	$(GO) test -count=1 -run 'AllocFree|IsAllocFree' ./internal/obs
 	$(GO) test -count=1 -run='^$$' -bench='BenchmarkDisabledSpan$$|BenchmarkDisabledCtxSpan$$|BenchmarkCounterVecResolvedInc$$' -benchtime=100x -benchmem ./internal/obs

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	chaos -seeds 8 -faults "drop=0.02,glitch=0.01,nodedrop=0.15"
-//	chaos -seeds 4 -nodes 32 -duration 900 -faults "meterdrop=0.1"
+//	chaos -seeds 4 -nodes 32 -duration 900 -faults "stuck=0.05,jitter=0.2"
 package main
 
 import (

@@ -39,14 +39,6 @@ func (f *Fingerprint) Int(vs ...int) *Fingerprint {
 	return f
 }
 
-// Uint64 mixes raw 64-bit values into the digest.
-func (f *Fingerprint) Uint64(vs ...uint64) *Fingerprint {
-	for _, v := range vs {
-		f.u64(v)
-	}
-	return f
-}
-
 // Float64 mixes floats into the digest by their IEEE-754 bit patterns,
 // so 0.95 and 0.9500000000000001 fingerprint differently.
 func (f *Fingerprint) Float64(vs ...float64) *Fingerprint {

@@ -19,7 +19,7 @@ type FaultFlags struct {
 // Register installs the flag on fs.
 func (f *FaultFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Spec, "faults", "",
-		`fault-injection spec, e.g. "seed=7,drop=0.01,glitch=0.001,meterdrop=0.05" (keys: seed, drop, dropwin, stuck, stucksec, glitch, spike, nanfrac, quant, jitter, meterdrop, retries, backoff, nodedrop; empty disables)`)
+		`fault-injection spec, e.g. "seed=7,drop=0.01,glitch=0.001,nodedrop=0.05" (keys: seed, drop, dropwin, stuck, stucksec, glitch, spike, nanfrac, quant, jitter, nodedrop; empty disables)`)
 }
 
 // RegisterFaultFlags installs the fault flag on the default flag set.
@@ -58,12 +58,6 @@ func ParseFaultSpec(spec string) (faults.Schedule, error) {
 				return s, fmt.Errorf("cli: fault seed %q: %w", val, err)
 			}
 			s.Seed = u
-		case "retries":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return s, fmt.Errorf("cli: fault retries %q: %w", val, err)
-			}
-			s.MeterRetries = n
 		default:
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
@@ -88,10 +82,6 @@ func ParseFaultSpec(spec string) (faults.Schedule, error) {
 				s.QuantizeWatts = v
 			case "jitter":
 				s.ClockJitter = v
-			case "meterdrop":
-				s.MeterDropRate = v
-			case "backoff":
-				s.RetryBackoffSec = v
 			case "nodedrop":
 				s.NodeDropRate = v
 			default:

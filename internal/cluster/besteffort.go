@@ -27,9 +27,6 @@ type AggregateQuality struct {
 	Completeness float64
 }
 
-// Complete reports whether every node reported for the whole run.
-func (q AggregateQuality) Complete() bool { return q.NodesLost == 0 }
-
 // BestEffortAverage estimates the whole-system time-averaged wall power
 // when some nodes stopped reporting mid-run. At each tick the surviving
 // nodes' aggregate power is scaled by N/alive — the extrapolation a

@@ -88,12 +88,6 @@ func (c *Cluster) nodeDCPower(i int, s state) float64 {
 	return silicon + fan
 }
 
-// nodeWallPower returns one node's wall (AC) power in the given state.
-func (c *Cluster) nodeWallPower(i int, s state) float64 {
-	dc := c.nodeDCPower(i, s)
-	return float64(c.Model.PSU.WallPower(power.Watts(dc)))
-}
-
 // systemWallPower returns total wall power of all nodes in a shared state,
 // computed in O(1) from the cached multiplier sums plus a PSU correction
 // evaluated at the mean node load (exact when the PSU curve is in its

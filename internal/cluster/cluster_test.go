@@ -372,38 +372,3 @@ func BenchmarkRun1000Nodes(b *testing.B) {
 		}
 	}
 }
-
-// phasedLoad is a Load with a distinct total span — the shape
-// workload.Phased has after the CoreDuration contract fix.
-type phasedLoad struct {
-	core, total float64
-}
-
-func (l phasedLoad) CoreDuration() float64       { return l.core }
-func (l phasedLoad) TotalDuration() float64      { return l.total }
-func (l phasedLoad) Utilization(float64) float64 { return 0.8 }
-
-// TestRunHonorsTotalDuration: a load exposing TotalDuration simulates
-// its full span, not just the core phase, so setup/teardown power lands
-// in the trace.
-func TestRunHonorsTotalDuration(t *testing.T) {
-	c := mustCluster(t, 4)
-	res, err := Run(c, phasedLoad{core: 100, total: 250}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Duration != 250 {
-		t.Errorf("simulated duration = %v, want total span 250", res.Duration)
-	}
-	if got := res.System.End(); got != 250 {
-		t.Errorf("trace ends at %v, want 250", got)
-	}
-	// A plain load still simulates exactly its core phase.
-	res, err = Run(c, constLoad{dur: 100, util: 0.8}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Duration != 100 {
-		t.Errorf("plain-load duration = %v, want 100", res.Duration)
-	}
-}

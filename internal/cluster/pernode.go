@@ -37,9 +37,6 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 		return nil, err
 	}
 	duration := load.CoreDuration()
-	if s, ok := load.(spanner); ok {
-		duration = s.TotalDuration()
-	}
 	if duration <= 0 {
 		return nil, errors.New("cluster: workload has non-positive core duration")
 	}

@@ -88,30 +88,12 @@ type RunResult struct {
 	fan     []float64 // controller fan power at each tick (scale 1.0)
 }
 
-// spanner is the optional extension a Load implements when its full job
-// span exceeds its core phase (workload.Phased: setup + core +
-// teardown). Simulators cover the total span so setup/teardown power
-// appears in the trace; pure core-phase loads are unaffected.
-type spanner interface {
-	TotalDuration() float64
-}
-
-// loadSpan returns the simulation span for a load: its TotalDuration
-// when it distinguishes one, else its core duration.
-func loadSpan(load Load) float64 {
-	if s, ok := load.(spanner); ok {
-		return s.TotalDuration()
-	}
-	return load.CoreDuration()
-}
-
-// Run simulates the workload's full span on the cluster (the core phase
-// alone for plain workloads; setup through teardown for phased ones).
+// Run simulates the workload's core phase on the cluster.
 func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	duration := loadSpan(load)
+	duration := load.CoreDuration()
 	if duration <= 0 {
 		return nil, errors.New("cluster: workload has non-positive core duration")
 	}
@@ -252,19 +234,15 @@ func (r *RunResult) NodeTraceInto(i int, buf []power.Sample) *power.Trace {
 	return tr
 }
 
-// SubsetTrace returns the summed wall-power trace of a node subset in one
-// pass over the tick state, without materializing per-node traces. The
-// per-tick accumulation follows idx order, so the result is sample-for-
-// sample identical to summing the individual NodeTrace outputs.
-func (r *RunResult) SubsetTrace(idx []int) (*power.Trace, error) {
-	return r.SubsetTraceBetween(idx, r.times[0], r.times[len(r.times)-1])
-}
-
-// SubsetTraceBetween is SubsetTrace restricted to the ticks covering
-// [lo, hi]: the returned trace starts at the last tick at or before lo and
-// ends at the first tick at or after hi (clamped to the run), so
-// interpolated reads within the window are identical to reads on the full
-// subset trace while only the window's ticks are computed.
+// SubsetTraceBetween returns the summed wall-power trace of a node subset
+// over the ticks covering [lo, hi], in one pass over the tick state
+// without materializing per-node traces. The per-tick accumulation
+// follows idx order, so the result is sample-for-sample identical to
+// summing the individual NodeTrace outputs. The returned trace starts at
+// the last tick at or before lo and ends at the first tick at or after hi
+// (clamped to the run), so interpolated reads within the window are
+// identical to reads on the whole-run subset trace while only the
+// window's ticks are computed.
 func (r *RunResult) SubsetTraceBetween(idx []int, lo, hi float64) (*power.Trace, error) {
 	c := r.Cluster
 	if len(idx) == 0 {

@@ -58,7 +58,7 @@ func runAblation(ctx context.Context, opts Options) (Result, error) {
 		sampling.PilotNormal, sampling.PilotOutliers,
 		sampling.PilotBimodal, sampling.PilotSkewed,
 	}
-	rb, err := sampling.RobustnessStudy(shapes, []int{5, 16, 50}, 0.95,
+	rb, err := sampling.RobustnessStudy(ctx, shapes, []int{5, 16, 50}, 0.95,
 		600, 9216, opts.Replicates/2, opts.Seed)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"nodevar/internal/obs"
 	"nodevar/internal/parallel"
 	"nodevar/internal/systems"
 )
@@ -37,12 +39,12 @@ func TestRunCtxRecoversRunnerPanic(t *testing.T) {
 }
 
 func TestRunCtxRecoversWorkerPanic(t *testing.T) {
-	// A panic inside a legacy void parallel call is isolated by the
-	// worker, re-raised on the runner goroutine as *PanicError, and
+	// A panic inside a void parallel call is isolated by the worker,
+	// re-raised on the runner goroutine as *PanicError, and
 	// RunCtx converts it to an error that still unwraps to the
 	// PanicError with its worker stack.
 	withTestRunner(t, "panic-worker", func(ctx context.Context, o Options) (Result, error) {
-		parallel.For(64, func(i int) {
+		parallel.ForDynamic(64, func(i int) {
 			if i == 13 {
 				panic("worker explosion")
 			}
@@ -120,5 +122,34 @@ func TestFigure3CheckpointOptionsThread(t *testing.T) {
 	}
 	if res == nil || res.ID() != Figure3 {
 		t.Fatalf("resumed figure3 returned %v", res)
+	}
+}
+
+// TestAblationCancelDuringRobustnessPhase: a cancel that lands while the
+// ablation's robustness table is being computed stops the run inside the
+// running per-shape study, instead of finishing all four studies and the
+// phases after them.
+func TestAblationCancelDuringRobustnessPhase(t *testing.T) {
+	studies := obs.NewCounter("sampling.bootstrap.studies")
+	base := studies.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The t-vs-z table runs two studies, so the third study to start is
+	// the robustness phase's first.
+	go func() {
+		for studies.Value() < base+3 {
+			if ctx.Err() != nil {
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		cancel()
+	}()
+	_, err := runAblation(ctx, Options{Seed: 1, Replicates: 20000})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := studies.Value() - base; got != 3 {
+		t.Errorf("%d coverage studies started, want 3: the cancel should stop the robustness phase in its first study", got)
 	}
 }

@@ -148,9 +148,6 @@ func (f *Frontend) Start(ctx context.Context) {
 // LiveWorkers reports how many workers are currently believed healthy.
 func (f *Frontend) LiveWorkers() int { return f.reg.liveCount() }
 
-// Workers lists the configured worker addresses.
-func (f *Frontend) Workers() []string { return append([]string(nil), f.cfg.Workers...) }
-
 // Coverage runs cfg on the fleet. It returns the study points, whether
 // the result was computed in degraded mode (locally, because no worker
 // could serve it), and an error only when the study itself cannot

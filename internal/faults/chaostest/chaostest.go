@@ -14,14 +14,12 @@
 package chaostest
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
 
 	"nodevar/internal/cluster"
 	"nodevar/internal/faults"
-	"nodevar/internal/meter"
 	"nodevar/internal/methodology"
 	"nodevar/internal/power"
 	"nodevar/internal/rng"
@@ -195,100 +193,5 @@ func Run(sc Scenario) (*Outcome, error) {
 		out.Assessment.Degraded = true
 		out.Assessment.DataCompleteness = out.Completeness
 	}
-	return out, nil
-}
-
-// PoolOutcome is the distributed-metering scenario's result: a pool of
-// flaky instruments measuring disjoint shares of the system, summed
-// best-effort.
-type PoolOutcome struct {
-	// PoolAvg is the best-effort summed average (zero when GaveUp).
-	PoolAvg power.Watts
-	// Pool reports how many instruments delivered.
-	Pool meter.PoolCompleteness
-	// GaveUp reports the loud failure mode: every instrument exhausted
-	// its retry budget and the measurement failed with an error.
-	GaveUp bool
-	// Degraded reports partial data (some instruments failed).
-	Degraded bool
-	// Stats merges the per-instrument dropout accounting.
-	Stats faults.Report
-}
-
-// Text renders the pool outcome deterministically.
-func (o *PoolOutcome) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pool_avg_w=%.6f gave_up=%v degraded=%v\n", float64(o.PoolAvg), o.GaveUp, o.Degraded)
-	fmt.Fprintf(&b, "instruments=%d failed=%d fraction=%.4f\n",
-		o.Pool.Instruments, o.Pool.Failed, o.Pool.Fraction)
-	fmt.Fprintf(&b, "meter: %d failures, %d retries, %d give-ups\n",
-		o.Stats.MeterFailures, o.Stats.MeterRetries, o.Stats.MeterGiveUps)
-	return b.String()
-}
-
-// RunPool simulates the scenario's machine and measures its power with a
-// pool of `instruments` flaky meters, each metering an equal share of the
-// system (the distributed-PDU topology). Failed instruments are skipped
-// and the sum extrapolated; when every instrument fails the measurement
-// errors loudly and GaveUp is set instead of returning a number.
-func RunPool(sc Scenario, instruments int) (*PoolOutcome, error) {
-	sc = sc.withDefaults()
-	if err := sc.Schedule.Validate(); err != nil {
-		return nil, err
-	}
-	if instruments <= 0 {
-		return nil, errors.New("chaostest: need at least one instrument")
-	}
-	c, err := cluster.New("chaos-pool", sc.Nodes, chaosModel(),
-		cluster.Variation{IdleCV: 0.01, DynamicCV: 0.025, FanCV: 0.05, OutlierFraction: 0.01},
-		22, rng.New(sc.Schedule.Seed^0x9e3779b97f4a7c15))
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Run(c, constLoad{dur: sc.DurationSec, util: sc.Util}, cluster.RunOptions{SamplePeriod: 1})
-	if err != nil {
-		return nil, err
-	}
-
-	// Split the system trace into equal instrument shares and wrap each
-	// meter with the schedule's dropout model, one split stream per
-	// instrument so the pool replays from the single seed.
-	share := power.Watts(1) / power.Watts(instruments)
-	traces := make([]*power.Trace, instruments)
-	insts := make([]meter.Instrument, instruments)
-	flaky := make([]*faults.FlakyMeter, instruments)
-	meterRng := rng.New(sc.Schedule.Seed ^ 0x2545f4914f6cdd1d)
-	faultStream := sc.Schedule.MeterStream()
-	for i := 0; i < instruments; i++ {
-		traces[i], err = res.System.Map(func(_ float64, p power.Watts) power.Watts {
-			return p * share
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := meter.New(meter.Spec{GainErrorCV: 0.002, SamplePeriod: 1}, meterRng.Split())
-		if err != nil {
-			return nil, err
-		}
-		f := sc.Schedule.WrapMeter(m, faultStream.Split())
-		flaky[i] = f
-		insts[i] = f
-	}
-
-	out := &PoolOutcome{}
-	avg, comp, err := meter.AverageSumBestEffort(insts, traces, res.System.Start(), res.System.End())
-	out.Pool = comp
-	for _, f := range flaky {
-		st := f.Stats()
-		out.Stats.Merge(&st)
-	}
-	if err != nil {
-		// The loud failure mode: no usable number, an explicit error.
-		out.GaveUp = true
-		out.Degraded = true
-		return out, nil
-	}
-	out.PoolAvg = avg
-	out.Degraded = comp.Failed > 0
 	return out, nil
 }

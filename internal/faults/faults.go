@@ -4,8 +4,9 @@
 // samples and go quiet for whole windows, OCC-style sensors quantize and
 // freeze, wall meters glitch to NaN or spike, clocks jitter, and nodes
 // disappear mid-run. The injectors here reproduce those behaviours as
-// composable, seeded transformations of power.Trace data and meter.Meter
-// reads, so every chaos scenario replays byte-identically from its seed.
+// composable, seeded transformations of power.Trace data and node
+// populations, so every chaos scenario replays byte-identically from its
+// seed.
 //
 // A Schedule is the unit of configuration: one seed plus a rate for each
 // fault class. The zero schedule is a strict no-op — Apply returns the
@@ -26,18 +27,15 @@ import (
 // Injection metrics: batched adds once per Apply / measurement, so the
 // fault path costs no more atomics than the healthy path.
 var (
-	mDropWindows   = obs.NewCounter("faults.drop_windows")
-	mDroppedSamps  = obs.NewCounter("faults.samples_dropped")
-	mStuckWindows  = obs.NewCounter("faults.stuck_windows")
-	mStuckSamps    = obs.NewCounter("faults.samples_stuck")
-	mGlitchNaN     = obs.NewCounter("faults.glitch_nan")
-	mGlitchSpike   = obs.NewCounter("faults.glitch_spike")
-	mJittered      = obs.NewCounter("faults.samples_jittered")
-	mQuantized     = obs.NewCounter("faults.samples_quantized")
-	mMeterFailures = obs.NewCounter("faults.meter_failures")
-	mMeterRetries  = obs.NewCounter("faults.meter_retries")
-	mMeterGiveUps  = obs.NewCounter("faults.meter_giveups")
-	mNodeDropouts  = obs.NewCounter("faults.node_dropouts")
+	mDropWindows  = obs.NewCounter("faults.drop_windows")
+	mDroppedSamps = obs.NewCounter("faults.samples_dropped")
+	mStuckWindows = obs.NewCounter("faults.stuck_windows")
+	mStuckSamps   = obs.NewCounter("faults.samples_stuck")
+	mGlitchNaN    = obs.NewCounter("faults.glitch_nan")
+	mGlitchSpike  = obs.NewCounter("faults.glitch_spike")
+	mJittered     = obs.NewCounter("faults.samples_jittered")
+	mQuantized    = obs.NewCounter("faults.samples_quantized")
+	mNodeDropouts = obs.NewCounter("faults.node_dropouts")
 )
 
 // Schedule is one deterministic fault-injection configuration. All rates
@@ -78,16 +76,6 @@ type Schedule struct {
 	// interval. Monotonicity is preserved. Must be in [0, 0.4].
 	ClockJitter float64
 
-	// MeterDropRate is the per-attempt probability that a wrapped meter
-	// read fails and must be retried.
-	MeterDropRate float64
-	// MeterRetries is the retry budget per measurement (default 3).
-	MeterRetries int
-	// RetryBackoffSec is the simulated base backoff before the first
-	// retry, doubling per attempt (default 0.1). Backoff time is
-	// accounted, not slept.
-	RetryBackoffSec float64
-
 	// NodeDropRate is the per-node probability of the node disappearing
 	// mid-run (whole-node dropout).
 	NodeDropRate float64
@@ -103,7 +91,6 @@ func (s Schedule) Validate() error {
 		{"StuckRate", s.StuckRate},
 		{"GlitchRate", s.GlitchRate},
 		{"NaNFraction", s.NaNFraction},
-		{"MeterDropRate", s.MeterDropRate},
 		{"NodeDropRate", s.NodeDropRate},
 	}
 	for _, r := range rates {
@@ -122,10 +109,6 @@ func (s Schedule) Validate() error {
 		return fmt.Errorf("faults: QuantizeWatts %v negative", s.QuantizeWatts)
 	case s.ClockJitter < 0 || s.ClockJitter > 0.4:
 		return fmt.Errorf("faults: ClockJitter %v outside [0, 0.4]", s.ClockJitter)
-	case s.MeterRetries < 0:
-		return fmt.Errorf("faults: MeterRetries %d negative", s.MeterRetries)
-	case s.RetryBackoffSec < 0:
-		return fmt.Errorf("faults: RetryBackoffSec %v negative", s.RetryBackoffSec)
 	}
 	return nil
 }
@@ -134,8 +117,7 @@ func (s Schedule) Validate() error {
 // is zero, making every injector a strict pass-through.
 func (s Schedule) IsZero() bool {
 	return s.SampleDropRate == 0 && s.StuckRate == 0 && s.GlitchRate == 0 &&
-		s.QuantizeWatts == 0 && s.ClockJitter == 0 && s.MeterDropRate == 0 &&
-		s.NodeDropRate == 0
+		s.QuantizeWatts == 0 && s.ClockJitter == 0 && s.NodeDropRate == 0
 }
 
 // withDefaults fills the duration/shape parameters that have non-zero
@@ -152,12 +134,6 @@ func (s Schedule) withDefaults() Schedule {
 	}
 	if s.NaNFraction == 0 {
 		s.NaNFraction = 0.5
-	}
-	if s.MeterRetries == 0 {
-		s.MeterRetries = 3
-	}
-	if s.RetryBackoffSec == 0 {
-		s.RetryBackoffSec = 0.1
 	}
 	return s
 }
@@ -184,11 +160,6 @@ func (s Schedule) String() string {
 	add("nanfrac", s.NaNFraction)
 	add("quant", s.QuantizeWatts)
 	add("jitter", s.ClockJitter)
-	add("meterdrop", s.MeterDropRate)
-	if s.MeterRetries != 0 {
-		fmt.Fprintf(&b, " retries=%d", s.MeterRetries)
-	}
-	add("backoff", s.RetryBackoffSec)
 	add("nodedrop", s.NodeDropRate)
 	return b.String()
 }
@@ -197,18 +168,20 @@ func (s Schedule) String() string {
 // the seed in a fixed order so enabling one fault class never perturbs
 // another's decisions.
 type streams struct {
-	jitter, stuck, glitch, drop, meter, node *rng.Rand
+	jitter, stuck, glitch, drop, node *rng.Rand
 }
 
 // streams derives the fault streams for this schedule's seed.
 func (s Schedule) streams() streams {
 	parent := rng.New(s.Seed)
-	return streams{
-		jitter: parent.Split(),
-		stuck:  parent.Split(),
-		glitch: parent.Split(),
-		drop:   parent.Split(),
-		meter:  parent.Split(),
-		node:   parent.Split(),
-	}
+	var st streams
+	st.jitter = parent.Split()
+	st.stuck = parent.Split()
+	st.glitch = parent.Split()
+	st.drop = parent.Split()
+	// The fifth split is unused but stays: removing it would move the
+	// node stream and change every replayed node dropout.
+	parent.Split()
+	st.node = parent.Split()
+	return st
 }

@@ -33,15 +33,12 @@ func TestScheduleValidate(t *testing.T) {
 		{StuckRate: 2},
 		{GlitchRate: -1},
 		{NaNFraction: 1.1},
-		{MeterDropRate: 7},
 		{NodeDropRate: -0.5},
 		{DropWindowSec: -1},
 		{StuckSec: -1},
 		{SpikeFactor: -2},
 		{QuantizeWatts: -1},
 		{ClockJitter: 0.5},
-		{MeterRetries: -1},
-		{RetryBackoffSec: -1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -382,17 +379,14 @@ func TestNodeOutages(t *testing.T) {
 }
 
 func TestReportMergeAndRendering(t *testing.T) {
-	a := &Report{Seed: 1, Schedule: "seed=1", Completeness: 0.9, DroppedSamples: 5, MeterRetries: 2}
-	b := &Report{Completeness: 0.8, DroppedSamples: 3, GlitchNaN: 1, BackoffSec: 0.3}
+	a := &Report{Seed: 1, Schedule: "seed=1", Completeness: 0.9, DroppedSamples: 5, NodesDropped: 2}
+	b := &Report{Completeness: 0.8, DroppedSamples: 3, GlitchNaN: 1}
 	a.Merge(b).Merge(nil)
-	if a.DroppedSamples != 8 || a.GlitchNaN != 1 || a.MeterRetries != 2 {
+	if a.DroppedSamples != 8 || a.GlitchNaN != 1 || a.NodesDropped != 2 {
 		t.Errorf("merge: %+v", a)
 	}
 	if a.Completeness != 0.8 {
 		t.Errorf("merged completeness %v, want min 0.8", a.Completeness)
-	}
-	if a.BackoffSec != 0.3 {
-		t.Errorf("backoff %v", a.BackoffSec)
 	}
 	if !a.Injected() {
 		t.Error("report with drops not flagged as injected")

@@ -35,13 +35,6 @@ type Report struct {
 	// QuantizedSamples counts readings re-quantized by the schedule.
 	QuantizedSamples int `json:"quantized_samples"`
 
-	// MeterFailures, MeterRetries and MeterGiveUps describe wrapped-meter
-	// dropout; BackoffSec is the total simulated retry backoff.
-	MeterFailures int     `json:"meter_failures"`
-	MeterRetries  int     `json:"meter_retries"`
-	MeterGiveUps  int     `json:"meter_giveups"`
-	BackoffSec    float64 `json:"backoff_sec"`
-
 	// NodesDropped counts whole-node dropouts.
 	NodesDropped int `json:"nodes_dropped"`
 
@@ -67,10 +60,6 @@ func (r *Report) Merge(o *Report) *Report {
 	r.GlitchSpike += o.GlitchSpike
 	r.JitteredSamples += o.JitteredSamples
 	r.QuantizedSamples += o.QuantizedSamples
-	r.MeterFailures += o.MeterFailures
-	r.MeterRetries += o.MeterRetries
-	r.MeterGiveUps += o.MeterGiveUps
-	r.BackoffSec += o.BackoffSec
 	r.NodesDropped += o.NodesDropped
 	if o.Completeness < r.Completeness {
 		r.Completeness = o.Completeness
@@ -82,7 +71,7 @@ func (r *Report) Merge(o *Report) *Report {
 func (r *Report) Injected() bool {
 	return r.DroppedSamples > 0 || r.StuckSamples > 0 || r.GlitchNaN > 0 ||
 		r.GlitchSpike > 0 || r.JitteredSamples > 0 || r.QuantizedSamples > 0 ||
-		r.MeterFailures > 0 || r.NodesDropped > 0
+		r.NodesDropped > 0
 }
 
 // String renders the report deterministically, one fact per line, for
@@ -95,8 +84,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  stuck: %d samples in %d windows\n", r.StuckSamples, r.StuckWindows)
 	fmt.Fprintf(&b, "  glitches: %d NaN, %d spikes\n", r.GlitchNaN, r.GlitchSpike)
 	fmt.Fprintf(&b, "  jittered: %d, quantized: %d\n", r.JitteredSamples, r.QuantizedSamples)
-	fmt.Fprintf(&b, "  meter: %d failures, %d retries, %d give-ups, %.2f s backoff\n",
-		r.MeterFailures, r.MeterRetries, r.MeterGiveUps, r.BackoffSec)
 	fmt.Fprintf(&b, "  nodes dropped: %d\n", r.NodesDropped)
 	fmt.Fprintf(&b, "  completeness: %.4f\n", r.Completeness)
 	return b.String()
@@ -113,15 +100,12 @@ func (r *Report) ManifestSection() *obs.FaultsSection {
 		Seed:           r.Seed,
 		Schedule:       r.Schedule,
 		Completeness:   r.Completeness,
-		Degraded:       r.Completeness < 1 || r.MeterGiveUps > 0 || r.NodesDropped > 0,
+		Degraded:       r.Completeness < 1 || r.NodesDropped > 0,
 		DropWindows:    r.DropWindows,
 		DroppedSamples: r.DroppedSamples,
 		StuckWindows:   r.StuckWindows,
 		GlitchNaN:      r.GlitchNaN,
 		GlitchSpike:    r.GlitchSpike,
-		MeterFailures:  r.MeterFailures,
-		MeterRetries:   r.MeterRetries,
-		MeterGiveUps:   r.MeterGiveUps,
 		NodesDropped:   r.NodesDropped,
 	}
 }

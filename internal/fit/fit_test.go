@@ -68,67 +68,6 @@ func TestNelderMeadPanicsOnEmpty(t *testing.T) {
 	NelderMead(func(x []float64) float64 { return 0 }, nil, NelderMeadOptions{})
 }
 
-func TestBrentKnownRoots(t *testing.T) {
-	cases := []struct {
-		f    func(float64) float64
-		a, b float64
-		root float64
-	}{
-		{func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2},
-		{math.Cos, 0, 3, math.Pi / 2},
-		{func(x float64) float64 { return x*x*x - x - 2 }, 1, 2, 1.5213797068045676},
-	}
-	for i, c := range cases {
-		got, err := Brent(c.f, c.a, c.b, 1e-13)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if math.Abs(got-c.root) > 1e-9 {
-			t.Errorf("case %d: root = %.12f, want %.12f", i, got, c.root)
-		}
-	}
-}
-
-func TestBrentEndpointRoot(t *testing.T) {
-	got, err := Brent(func(x float64) float64 { return x }, 0, 1, 1e-12)
-	if err != nil || got != 0 {
-		t.Errorf("endpoint root: %v, %v", got, err)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	_, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12)
-	if err != ErrNoBracket {
-		t.Errorf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	got := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-10)
-	if math.Abs(got-2.5) > 1e-8 {
-		t.Errorf("minimizer = %v", got)
-	}
-	// Reversed interval should work too.
-	got = GoldenSection(math.Cos, 2*math.Pi, 0, 1e-10)
-	if math.Abs(got-math.Pi) > 1e-6 {
-		t.Errorf("cos minimizer = %v, want π", got)
-	}
-}
-
-// Property: Brent finds the root of any line with a sign change.
-func TestQuickBrentLinear(t *testing.T) {
-	f := func(slopeRaw, rootRaw int16) bool {
-		slope := float64(slopeRaw%100) + 0.5
-		root := float64(rootRaw) / 100
-		lin := func(x float64) float64 { return slope * (x - root) }
-		got, err := Brent(lin, root-500, root+501, 1e-12)
-		return err == nil && math.Abs(got-root) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: NelderMead on a shifted parabola finds the shift.
 func TestQuickNelderMeadParabola(t *testing.T) {
 	f := func(shiftRaw int16) bool {

@@ -1,7 +1,7 @@
-// Package fit provides small derivative-free optimization and
-// root-finding routines used to calibrate simulator presets against the
-// published numbers in the paper (segment averages in Table 2, preset
-// shape parameters for Figures 1 and 4).
+// Package fit provides a small derivative-free optimizer (Nelder–Mead)
+// used to calibrate simulator presets against the published numbers in
+// the paper (segment averages in Table 2, preset shape parameters for
+// Figures 1 and 4).
 package fit
 
 import (

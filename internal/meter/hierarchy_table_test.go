@@ -4,30 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"nodevar/internal/faults"
 	"nodevar/internal/meter"
 	"nodevar/internal/power"
-	"nodevar/internal/rng"
-)
-
-// Table-driven coverage for the metering hierarchy with distributed
-// (pooled) instruments of mixed accuracy, including subtrees whose meter
-// has dropped out entirely. Each case meters one hierarchy point with a
-// pool of per-subtree instruments; faulty subtrees are wrapped with an
-// always-fail injector and the best-effort sum must recover the total
-// from the survivors.
-
-// subtreeSpec is one branch of the distribution tree: its instrument
-// accuracy class, and whether its meter is dark for the whole run.
-type subtreeSpec struct {
-	spec   meter.Spec
-	faulty bool
-}
-
-var (
-	revenueGrade = meter.Spec{GainErrorCV: 0.002, SamplePeriod: 1}
-	noisyMeter   = meter.Spec{NoiseCV: 0.02, SamplePeriod: 1}
-	coarseMeter  = meter.Spec{ResolutionWatts: 50, SamplePeriod: 1}
 )
 
 func hierarchyComputeTrace(t *testing.T) *power.Trace {
@@ -43,168 +21,6 @@ func hierarchyComputeTrace(t *testing.T) *power.Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-// buildPool splits the point trace into equal subtree traces and one
-// instrument per subtree (seeded by index so two builds are identical).
-// Faulty subtrees are wrapped to fail every read.
-func buildPool(t *testing.T, tr *power.Trace, subtrees []subtreeSpec, wrap bool) ([]meter.Instrument, []*power.Trace) {
-	t.Helper()
-	k := len(subtrees)
-	insts := make([]meter.Instrument, k)
-	traces := make([]*power.Trace, k)
-	for i, st := range subtrees {
-		sub, err := tr.Map(func(_ float64, p power.Watts) power.Watts {
-			return p / power.Watts(k)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces[i] = sub
-		m, err := meter.New(st.spec, rng.New(uint64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[i] = m
-		if wrap && st.faulty {
-			s := faults.Schedule{Seed: uint64(i), MeterDropRate: 1}
-			insts[i] = s.WrapMeter(m, s.MeterStream())
-		}
-	}
-	return insts, traces
-}
-
-func TestHierarchyPoolTable(t *testing.T) {
-	compute := hierarchyComputeTrace(t)
-	model := meter.FacilityModel{
-		RackOverheadPerNode: 30,
-		InterconnectWatts:   2000,
-		ServiceNodesWatts:   1500,
-		OtherLoadsWatts:     25000,
-		CoolingCOP:          4,
-	}
-	h, err := meter.NewHierarchy(compute, 64, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name       string
-		point      meter.MeteringPoint
-		subtrees   []subtreeSpec
-		wantFailed int
-		tol        float64 // relative error budget vs the true point average
-		wantErr    bool
-	}{
-		{
-			name:     "node point, reference pool, no faults",
-			point:    meter.PointNode,
-			subtrees: []subtreeSpec{{spec: meter.Reference}, {spec: meter.Reference}, {spec: meter.Reference}, {spec: meter.Reference}},
-			tol:      1e-9,
-		},
-		{
-			name:  "PDU point, mixed accuracy, no faults",
-			point: meter.PointPDU,
-			subtrees: []subtreeSpec{
-				{spec: revenueGrade}, {spec: noisyMeter}, {spec: coarseMeter}, {spec: meter.Reference},
-			},
-			tol: 0.02,
-		},
-		{
-			name:  "machine point, one faulty subtree",
-			point: meter.PointMachine,
-			subtrees: []subtreeSpec{
-				{spec: revenueGrade}, {spec: noisyMeter, faulty: true}, {spec: coarseMeter}, {spec: meter.Reference},
-			},
-			wantFailed: 1,
-			tol:        0.02,
-		},
-		{
-			name:  "facility point with cooling, faulty revenue-grade branch",
-			point: meter.PointFacility,
-			subtrees: []subtreeSpec{
-				{spec: revenueGrade, faulty: true}, {spec: meter.Reference}, {spec: noisyMeter},
-			},
-			wantFailed: 1,
-			tol:        0.02,
-		},
-		{
-			name:  "two of three subtrees dark",
-			point: meter.PointPDU,
-			subtrees: []subtreeSpec{
-				{spec: meter.Reference, faulty: true}, {spec: meter.Reference}, {spec: meter.Reference, faulty: true},
-			},
-			wantFailed: 2,
-			tol:        1e-9,
-		},
-		{
-			name:  "all subtrees dark",
-			point: meter.PointMachine,
-			subtrees: []subtreeSpec{
-				{spec: meter.Reference, faulty: true}, {spec: meter.Reference, faulty: true},
-			},
-			wantFailed: 2,
-			wantErr:    true,
-		},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tr, err := h.TraceAt(tc.point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			truth, err := tr.Average()
-			if err != nil {
-				t.Fatal(err)
-			}
-			insts, traces := buildPool(t, tr, tc.subtrees, true)
-			got, comp, err := meter.AverageSumBestEffort(insts, traces, tr.Start(), tr.End())
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("all-dark pool returned %v instead of an error", got)
-				}
-				if comp.Failed != tc.wantFailed {
-					t.Errorf("completeness: %+v", comp)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if comp.Failed != tc.wantFailed || comp.Instruments != len(tc.subtrees) {
-				t.Errorf("completeness: %+v, want %d/%d failed", comp, tc.wantFailed, len(tc.subtrees))
-			}
-			wantFrac := float64(len(tc.subtrees)-tc.wantFailed) / float64(len(tc.subtrees))
-			if math.Abs(comp.Fraction-wantFrac) > 1e-12 {
-				t.Errorf("fraction %v, want %v", comp.Fraction, wantFrac)
-			}
-			if comp.Complete() != (tc.wantFailed == 0) {
-				t.Errorf("Complete() = %v with %d failed", comp.Complete(), comp.Failed)
-			}
-			if rel := math.Abs(float64(got-truth)) / float64(truth); rel > tc.tol {
-				t.Errorf("recovered %v vs true %v (%.3f%% off, budget %.3f%%)",
-					got, truth, 100*rel, 100*tc.tol)
-			}
-
-			// A healthy pool must be bit-identical to the plain sum: build
-			// an identically seeded unwrapped pool and sum it directly.
-			if tc.wantFailed == 0 {
-				plainInsts, plainTraces := buildPool(t, tr, tc.subtrees, false)
-				var want power.Watts
-				for i := range plainInsts {
-					v, err := plainInsts[i].AveragePower(plainTraces[i], tr.Start(), tr.End())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want += v
-				}
-				if got != want {
-					t.Errorf("fault-free best effort %v != plain sum %v", got, want)
-				}
-			}
-		})
-	}
 }
 
 // TestHierarchyBiasOrdering pins the structural property the hierarchy

@@ -216,123 +216,7 @@ func (m *Meter) Energy(tr *power.Trace, a, b float64) (power.Joules, error) {
 }
 
 // Instrument is anything that can report a windowed average power for a
-// true trace: a Meter, or a fault-injection wrapper around one
-// (internal/faults.FlakyMeter). Consumers that aggregate several
-// instruments accept this interface so degraded instruments can be
-// swapped in without touching the aggregation code.
+// true trace: a Meter or one of the windowed/OCC models.
 type Instrument interface {
 	AveragePower(tr *power.Trace, a, b float64) (power.Watts, error)
-}
-
-// Pool is a set of instruments measuring disjoint parts of a system whose
-// readings are summed, as when several PDUs feed one measurement (the
-// distributed metering that SPEC-style single-meter rules cannot cover).
-type Pool struct {
-	meters []*Meter
-}
-
-// NewPool draws n instruments from the spec.
-func NewPool(n int, spec Spec, r *rng.Rand) (*Pool, error) {
-	if n <= 0 {
-		return nil, errors.New("meter: pool needs at least one instrument")
-	}
-	p := &Pool{meters: make([]*Meter, n)}
-	for i := range p.meters {
-		m, err := New(spec, r)
-		if err != nil {
-			return nil, err
-		}
-		p.meters[i] = m
-	}
-	return p, nil
-}
-
-// Size returns the number of instruments.
-func (p *Pool) Size() int { return len(p.meters) }
-
-// Meter returns the i-th instrument.
-func (p *Pool) Meter(i int) *Meter { return p.meters[i] }
-
-// AverageSum measures each trace with the corresponding instrument over
-// [a, b] and returns the summed average power. len(traces) must equal the
-// pool size.
-func (p *Pool) AverageSum(traces []*power.Trace, a, b float64) (power.Watts, error) {
-	if len(traces) != len(p.meters) {
-		return 0, fmt.Errorf("meter: %d traces for %d instruments", len(traces), len(p.meters))
-	}
-	var sum power.Watts
-	for i, tr := range traces {
-		v, err := p.meters[i].AveragePower(tr, a, b)
-		if err != nil {
-			return 0, err
-		}
-		sum += v
-	}
-	return sum, nil
-}
-
-// PoolCompleteness reports how much of a distributed measurement's data
-// actually arrived: which instruments failed and the fraction that
-// succeeded.
-type PoolCompleteness struct {
-	// Instruments is the pool size; Failed is how many never delivered a
-	// reading.
-	Instruments int
-	Failed      int
-	// Fraction is (Instruments-Failed)/Instruments.
-	Fraction float64
-}
-
-// Complete reports whether every instrument delivered.
-func (c PoolCompleteness) Complete() bool { return c.Failed == 0 }
-
-// AverageSumBestEffort measures each trace with the corresponding
-// instrument, tolerating instrument failures: failed readings are
-// skipped and the sum of the successful ones is scaled by
-// total/successes — the best-effort extrapolation a site applies when
-// one PDU's meter goes dark mid-run. The returned completeness reports
-// how many instruments actually delivered; callers must surface
-// anything below 1 as a degraded measurement. It fails only when no
-// instrument delivers, or on a trace-count mismatch.
-//
-// With a fault-free pool the result is bit-identical to AverageSum: the
-// scale factor is exactly 1 and the same readings are summed in the
-// same order.
-func AverageSumBestEffort(insts []Instrument, traces []*power.Trace, a, b float64) (power.Watts, PoolCompleteness, error) {
-	comp := PoolCompleteness{Instruments: len(insts)}
-	if len(traces) != len(insts) {
-		return 0, comp, fmt.Errorf("meter: %d traces for %d instruments", len(traces), len(insts))
-	}
-	if len(insts) == 0 {
-		return 0, comp, errors.New("meter: best-effort sum needs at least one instrument")
-	}
-	var sum power.Watts
-	ok := 0
-	for i, tr := range traces {
-		v, err := insts[i].AveragePower(tr, a, b)
-		if err != nil {
-			comp.Failed++
-			continue
-		}
-		sum += v
-		ok++
-	}
-	comp.Fraction = float64(ok) / float64(len(insts))
-	if ok == 0 {
-		return 0, comp, fmt.Errorf("meter: all %d instruments failed", len(insts))
-	}
-	if comp.Failed > 0 {
-		sum = power.Watts(float64(sum) * float64(len(insts)) / float64(ok))
-	}
-	return sum, comp, nil
-}
-
-// Instruments returns the pool's meters as the Instrument interface, for
-// wrapping with fault injectors.
-func (p *Pool) Instruments() []Instrument {
-	out := make([]Instrument, len(p.meters))
-	for i, m := range p.meters {
-		out[i] = m
-	}
-	return out
 }

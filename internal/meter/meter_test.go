@@ -197,44 +197,6 @@ func TestEnergyAppliesGainOnly(t *testing.T) {
 	}
 }
 
-func TestPool(t *testing.T) {
-	r := rng.New(9)
-	p, err := NewPool(4, Spec{GainErrorCV: 0.005, SamplePeriod: 1}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Size() != 4 {
-		t.Fatalf("pool size = %d", p.Size())
-	}
-	traces := make([]*power.Trace, 4)
-	for i := range traces {
-		traces[i] = flatTrace(t, 250, 20)
-	}
-	sum, err := p.AverageSum(traces, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(sum)-1000) > 1000*0.005*4 {
-		t.Errorf("pool sum = %v, want ~1000", sum)
-	}
-	if _, err := p.AverageSum(traces[:2], 0, 20); err == nil {
-		t.Error("mismatched trace count accepted")
-	}
-	// Instruments differ from each other.
-	if p.Meter(0).Gain() == p.Meter(1).Gain() {
-		t.Error("pool instruments share identical calibration")
-	}
-}
-
-func TestNewPoolErrors(t *testing.T) {
-	if _, err := NewPool(0, Reference, rng.New(1)); err == nil {
-		t.Error("empty pool accepted")
-	}
-	if _, err := NewPool(2, Spec{GainErrorCV: -1}, rng.New(1)); err == nil {
-		t.Error("invalid spec accepted")
-	}
-}
-
 func TestNegativeReadingsClampToZero(t *testing.T) {
 	// Huge noise on a tiny signal must not produce negative power.
 	spec := Spec{NoiseCV: 0.1, SamplePeriod: 1}
@@ -409,58 +371,3 @@ func (failingInstrument) AveragePower(tr *power.Trace, a, b float64) (power.Watt
 }
 
 var errTestDark = errors.New("meter dark")
-
-func TestAverageSumBestEffortCompleteness(t *testing.T) {
-	r := rng.New(16)
-	p, err := NewPool(4, Spec{SamplePeriod: 1}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := make([]*power.Trace, 4)
-	for i := range traces {
-		traces[i] = flatTrace(t, 250, 20)
-	}
-
-	// All instruments healthy: bit-identical to AverageSum, complete.
-	insts := p.Instruments()
-	sum, comp, err := AverageSumBestEffort(insts, traces, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := p.AverageSum(traces, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != plain {
-		t.Errorf("healthy best-effort sum %v != AverageSum %v", sum, plain)
-	}
-	if !comp.Complete() || comp.Fraction != 1 || comp.Failed != 0 || comp.Instruments != 4 {
-		t.Errorf("healthy completeness = %+v", comp)
-	}
-
-	// One dark instrument: 3 of 4 deliver 250 W each; the sum scales by
-	// 4/3 back to the full 1000 W estimate and completeness reports 3/4.
-	insts[2] = failingInstrument{}
-	sum, comp, err = AverageSumBestEffort(insts, traces, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(sum)-1000) > 1e-9 {
-		t.Errorf("degraded best-effort sum = %v, want 1000", sum)
-	}
-	if comp.Complete() || comp.Failed != 1 || comp.Fraction != 0.75 {
-		t.Errorf("degraded completeness = %+v", comp)
-	}
-
-	// All dark: error, fraction 0.
-	for i := range insts {
-		insts[i] = failingInstrument{}
-	}
-	_, comp, err = AverageSumBestEffort(insts, traces, 0, 20)
-	if err == nil {
-		t.Error("all-dark pool returned a sum")
-	}
-	if comp.Fraction != 0 || comp.Failed != 4 {
-		t.Errorf("all-dark completeness = %+v", comp)
-	}
-}

@@ -135,15 +135,6 @@ type SpanRef struct {
 	id    SpanID
 }
 
-// Valid reports whether the ref points at a recording span.
-func (r SpanRef) Valid() bool { return r.sink != nil }
-
-// TraceID returns the referenced span's trace.
-func (r SpanRef) TraceID() TraceID { return r.trace }
-
-// SpanID returns the referenced span's ID.
-func (r SpanRef) SpanID() SpanID { return r.id }
-
 // Event records an instant event parented on the referenced span.
 func (r SpanRef) Event(cat, name string) {
 	if r.sink == nil {

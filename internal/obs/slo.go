@@ -9,7 +9,6 @@ import "sync/atomic"
 // expected to restart far more often than a calendar SLO window — and
 // all updates are single atomic adds, safe on request hot paths.
 type SLO struct {
-	endpoint  string
 	target    float64 // latency target in seconds
 	objective float64 // e.g. 0.99
 
@@ -39,7 +38,6 @@ func NewSLO(endpoint string, latencyTarget, objective float64) *SLO {
 		objective = 0.99
 	}
 	s := &SLO{
-		endpoint:  endpoint,
 		target:    latencyTarget,
 		objective: objective,
 		cReqs:     vSLORequests.With(endpoint),
@@ -49,12 +47,6 @@ func NewSLO(endpoint string, latencyTarget, objective float64) *SLO {
 	s.gBudget.Set(1)
 	return s
 }
-
-// Endpoint returns the endpoint this SLO guards.
-func (s *SLO) Endpoint() string { return s.endpoint }
-
-// Target returns the latency target in seconds.
-func (s *SLO) Target() float64 { return s.target }
 
 // Objective returns the success-fraction objective.
 func (s *SLO) Objective() float64 { return s.objective }

@@ -11,11 +11,11 @@ import (
 	"nodevar/internal/rng"
 )
 
-func TestForCtxCanceledBeforeStart(t *testing.T) {
+func TestForDynamicCtxCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls int64
-	err := ForCtx(ctx, 1000, func(i int) { atomic.AddInt64(&calls, 1) })
+	err := ForDynamicCtx(ctx, 1000, func(i int) { atomic.AddInt64(&calls, 1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -24,18 +24,21 @@ func TestForCtxCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
+func TestForRangesCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	// Cancel partway through; every index either ran exactly once or not
 	// at all, and whole chunks are the unit — a started chunk finishes.
 	const n = 10000
+	ranges := SplitRange(n, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	var counts [n]int64
 	var seen atomic.Int64
-	err := ForCtx(ctx, n, func(i int) {
-		if seen.Add(1) == 50 {
-			cancel()
+	err := ForRangesCtx(ctx, ranges, func(_ int, r Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			if seen.Add(1) == 50 {
+				cancel()
+			}
+			atomic.AddInt64(&counts[i], 1)
 		}
-		atomic.AddInt64(&counts[i], 1)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -52,7 +55,7 @@ func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	}
 	// Chunk atomicity: within each scheduled chunk, the indices that ran
 	// form complete chunks, never a prefix of one.
-	for _, r := range itemRanges(n) {
+	for _, r := range ranges {
 		chunkRan := 0
 		for i := r.Lo; i < r.Hi; i++ {
 			chunkRan += int(counts[i])
@@ -63,21 +66,8 @@ func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	}
 }
 
-func TestForCtxCompletesWithoutCancel(t *testing.T) {
-	const n = 500
-	var counts [n]int64
-	if err := ForCtx(context.Background(), n, func(i int) { atomic.AddInt64(&counts[i], 1) }); err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
-		}
-	}
-}
-
 func TestWorkerPanicSurfacesAsPanicError(t *testing.T) {
-	err := ForCtx(context.Background(), 100, func(i int) {
+	err := ForDynamicCtx(context.Background(), 100, func(i int) {
 		if i == 37 {
 			panic("boom at 37")
 		}
@@ -123,35 +113,35 @@ func TestWorkerPanicCountsMetricAndAborts(t *testing.T) {
 	}
 }
 
-func TestLegacyForRePanicsWithPanicError(t *testing.T) {
+func TestForDynamicRePanicsWithPanicError(t *testing.T) {
 	defer func() {
 		v := recover()
 		pe, ok := v.(*PanicError)
 		if !ok {
 			t.Fatalf("recovered %v (%T), want *PanicError", v, v)
 		}
-		if pe.Value != "legacy boom" {
+		if pe.Value != "boom at 3" {
 			t.Errorf("PanicError.Value = %v", pe.Value)
 		}
 	}()
-	For(10, func(i int) {
+	ForDynamic(10, func(i int) {
 		if i == 3 {
-			panic("legacy boom")
+			panic("boom at 3")
 		}
 	})
-	t.Fatal("For returned instead of panicking")
+	t.Fatal("ForDynamic returned instead of panicking")
 }
 
 func TestMetricsFlushedOnErrorPaths(t *testing.T) {
-	// Satellite: wall/busy counters must be flushed even when the call
-	// fails early (cancellation or panic), not only on success.
+	// Wall/busy counters must be flushed even when the call fails early
+	// (cancellation or panic), not only on success.
 	wall0, busy0, calls0 := fParWall.Value(), fParBusy.Value(), mParCalls.Value()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_ = ForCtx(ctx, 1000, func(int) {})
+	_ = ForDynamicCtx(ctx, 1000, func(int) {})
 
-	_ = ForCtx(context.Background(), 1000, func(i int) {
+	_ = ForDynamicCtx(context.Background(), 1000, func(i int) {
 		if i == 0 {
 			panic("metric flush check")
 		}
@@ -168,88 +158,23 @@ func TestMetricsFlushedOnErrorPaths(t *testing.T) {
 	}
 }
 
-func TestMapCtxPartialOnCancel(t *testing.T) {
-	const n = 8192
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen atomic.Int64
-	out, err := MapCtx(ctx, n, func(i int) float64 {
-		if seen.Add(1) == 20 {
-			cancel()
-		}
-		return float64(i) + 1 // never zero, so written entries are detectable
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(out) != n {
-		t.Fatalf("len(out) = %d, want %d", len(out), n)
-	}
-	wrote := 0
-	for i, v := range out {
-		if v != 0 && v != float64(i)+1 {
-			t.Fatalf("out[%d] = %v: torn value", i, v)
-		}
-		if v != 0 {
-			wrote++
-		}
-	}
-	if wrote == 0 || wrote == n {
-		t.Fatalf("wrote %d of %d; want a genuine partial result", wrote, n)
-	}
-}
-
-func TestMapCtxComplete(t *testing.T) {
-	out, err := MapCtx(context.Background(), 100, func(i int) float64 { return float64(i * i) })
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	for i, v := range out {
-		if v != float64(i*i) {
-			t.Fatalf("out[%d] = %v, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestForSeededChunksCtxMatchesLegacy(t *testing.T) {
-	// The ctx variant with a background context must be bit-identical to
-	// the legacy entry point: same chunking, same stream derivation.
-	const n, chunks = 1000, 16
-	legacy := make([]float64, n)
-	ForSeededChunks(n, chunks, rng.New(99), func(r Range, s *rng.Rand) {
-		for i := r.Lo; i < r.Hi; i++ {
-			legacy[i] = s.Float64()
-		}
-	})
-	viaCtx := make([]float64, n)
-	err := ForSeededChunksCtx(context.Background(), n, chunks, rng.New(99), func(r Range, s *rng.Rand) {
-		for i := r.Lo; i < r.Hi; i++ {
-			viaCtx[i] = s.Float64()
-		}
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	for i := range legacy {
-		if legacy[i] != viaCtx[i] {
-			t.Fatalf("divergence at %d: %v != %v", i, legacy[i], viaCtx[i])
-		}
-	}
-}
-
 func TestForRangesCtxSubsetMatchesFullRun(t *testing.T) {
 	// The resume primitive: running only a subset of chunks with streams
 	// derived by ChunkStreams reproduces exactly the full run's values
 	// for those chunks.
 	const n, chunks = 1000, 16
-	full := make([]float64, n)
-	ForSeededChunks(n, chunks, rng.New(7), func(r Range, s *rng.Rand) {
-		for i := r.Lo; i < r.Hi; i++ {
-			full[i] = s.Float64()
-		}
-	})
-
 	ranges := SplitRange(n, chunks)
 	streams := ChunkStreams(rng.New(7), len(ranges))
+	full := make([]float64, n)
+	fullStreams := ChunkStreams(rng.New(7), len(ranges))
+	if err := ForRangesCtx(context.Background(), ranges, func(ci int, r Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			full[i] = fullStreams[ci].Float64()
+		}
+	}); err != nil {
+		t.Fatalf("full run: err = %v", err)
+	}
+
 	// Re-run only the odd-indexed chunks, as a resume would.
 	var odd []Range
 	var oddIdx []int

@@ -6,8 +6,7 @@
 // and results are written to caller-owned, pre-sized slices so that the
 // outcome never depends on goroutine scheduling.
 //
-// Every entry point has a context-aware variant (ForCtx, MapCtx,
-// ForDynamicCtx, ForSeededChunksCtx, ForRangesCtx) that checks for
+// The context-aware entry points (ForDynamicCtx, ForRangesCtx) check for
 // cancellation cooperatively at chunk boundaries: a canceled call stops
 // scheduling new chunks, lets in-flight chunks finish, and returns
 // ctx.Err(). Chunks are never torn — a chunk either ran to completion or
@@ -183,13 +182,6 @@ func exec(ctx context.Context, items, workers int, ranges []Range, body func(ci 
 	return ctx.Err()
 }
 
-// itemRanges covers [0, n) with per-worker chunking fine enough that a
-// cancellation check lands every few percent of the work: workers * 8
-// chunks, capped at n.
-func itemRanges(n int) []Range {
-	return SplitRange(n, Workers(n)*8)
-}
-
 // sumItems returns the total index count covered by the ranges.
 func sumItems(ranges []Range) int {
 	total := 0
@@ -213,48 +205,6 @@ func must(err error) {
 		panic(pe)
 	}
 	panic(err)
-}
-
-// ForCtx runs body(i) for every i in [0, n), distributing contiguous
-// index chunks across up to Workers(n) goroutines and checking ctx
-// between chunks. On cancellation it returns ctx.Err(); every index
-// whose chunk started has run to completion, and no other index was
-// touched, so caller-owned index-addressed results are never torn.
-// body must be safe for concurrent invocation on distinct indices.
-func ForCtx(ctx context.Context, n int, body func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	return exec(ctx, n, Workers(n), itemRanges(n), func(_ int, r Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// For runs body(i) for every i in [0, n). It blocks until all calls
-// return. A worker panic is re-raised on the calling goroutine as a
-// *PanicError. body must be safe for concurrent invocation on distinct
-// indices.
-func For(n int, body func(i int)) {
-	must(ForCtx(context.Background(), n, body))
-}
-
-// ForChunked runs body once per contiguous chunk of [0, n), one chunk per
-// worker goroutine. Use it when per-item dispatch overhead matters or the
-// body wants to keep per-chunk state.
-func ForChunked(n int, body func(r Range)) {
-	must(ForChunkedCtx(context.Background(), n, body))
-}
-
-// ForChunkedCtx is ForChunked with cooperative cancellation between
-// chunks and panic isolation (see ForCtx for the contract).
-func ForChunkedCtx(ctx context.Context, n int, body func(r Range)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	ranges := SplitRange(n, Workers(n))
-	return exec(ctx, n, Workers(n), ranges, func(_ int, r Range) { body(r) })
 }
 
 // ForDynamic runs body(i) for every i in [0, n) with dynamic scheduling:
@@ -282,25 +232,6 @@ func ForDynamicCtx(ctx context.Context, n int, body func(i int)) error {
 	return exec(ctx, n, Workers(n), ranges, func(_ int, r Range) { body(r.Lo) })
 }
 
-// ForSeeded runs body(i, r) for every i in [0, n), where each worker chunk
-// receives its own RNG split deterministically from parent. The assignment
-// of streams to chunks is fixed by (n, GOMAXPROCS at call time); for
-// GOMAXPROCS-independent determinism use ForSeededChunks with a fixed chunk
-// count.
-func ForSeeded(n int, parent *rng.Rand, body func(i int, r *rng.Rand)) {
-	if n <= 0 {
-		return
-	}
-	ranges := SplitRange(n, Workers(n))
-	streams := ChunkStreams(parent, len(ranges))
-	must(exec(context.Background(), n, Workers(n), ranges, func(ci int, r Range) {
-		s := streams[ci]
-		for i := r.Lo; i < r.Hi; i++ {
-			body(i, s)
-		}
-	}))
-}
-
 // ChunkStreams derives one child RNG stream per chunk from parent, in
 // chunk order. The derivation consumes exactly k values from parent, so
 // the mapping from chunk index to stream depends only on (parent state,
@@ -314,34 +245,6 @@ func ChunkStreams(parent *rng.Rand, k int) []*rng.Rand {
 	return streams
 }
 
-// ForSeededChunks divides [0, n) into exactly chunks ranges (fewer if
-// n < chunks), derives one RNG stream per range from parent, and runs the
-// ranges across the available workers. Because the chunk decomposition and
-// stream assignment depend only on (n, chunks, parent state), results are
-// bit-identical regardless of GOMAXPROCS.
-func ForSeededChunks(n, chunks int, parent *rng.Rand, body func(r Range, stream *rng.Rand)) {
-	must(ForSeededChunksCtx(context.Background(), n, chunks, parent, body))
-}
-
-// ForSeededChunksCtx is ForSeededChunks with cooperative cancellation at
-// chunk boundaries and panic isolation: a canceled call stops claiming
-// new chunks, lets running chunks complete (a chunk is never torn), and
-// returns ctx.Err(). Callers that record per-chunk results therefore see
-// only whole chunks — the invariant checkpoint/resume builds on.
-func ForSeededChunksCtx(ctx context.Context, n, chunks int, parent *rng.Rand, body func(r Range, stream *rng.Rand)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if chunks <= 0 {
-		chunks = 1
-	}
-	ranges := SplitRange(n, chunks)
-	streams := ChunkStreams(parent, len(ranges))
-	return exec(ctx, n, Workers(len(ranges)), ranges, func(ci int, r Range) {
-		body(r, streams[ci])
-	})
-}
-
 // ForRangesCtx runs body once per listed range across the available
 // workers, checking ctx between ranges. The ci argument is the index
 // into ranges, so a caller that pre-derived per-range state (RNG
@@ -350,40 +253,4 @@ func ForSeededChunksCtx(ctx context.Context, n, chunks int, parent *rng.Rand, bo
 // checkpoint says are still missing.
 func ForRangesCtx(ctx context.Context, ranges []Range, body func(ci int, r Range)) error {
 	return exec(ctx, sumItems(ranges), Workers(len(ranges)), ranges, body)
-}
-
-// MapCtx computes mapper(i) for every i in [0, n) in parallel and
-// returns the results in index order. On cancellation the returned
-// slice still holds every value whose chunk completed (other entries are
-// zero) alongside ctx.Err(); entries are never torn.
-func MapCtx(ctx context.Context, n int, mapper func(i int) float64) ([]float64, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	out := make([]float64, n)
-	err := ForCtx(ctx, n, func(i int) { out[i] = mapper(i) })
-	return out, err
-}
-
-// MapReduceFloat64 computes a parallel map over [0, n) followed by a
-// deterministic sequential reduction. Each index i is mapped to a float64;
-// partial slices are reduced in index order so floating-point summation
-// order is stable.
-func MapReduceFloat64(n int, mapper func(i int) float64, init float64, reducer func(acc, v float64) float64) float64 {
-	if n <= 0 {
-		return init
-	}
-	vals, err := MapCtx(context.Background(), n, mapper)
-	must(err)
-	acc := init
-	for _, v := range vals {
-		acc = reducer(acc, v)
-	}
-	return acc
-}
-
-// Sum computes the sum of mapper(i) for i in [0, n) with parallel mapping
-// and a stable, index-ordered reduction.
-func Sum(n int, mapper func(i int) float64) float64 {
-	return MapReduceFloat64(n, mapper, 0, func(a, v float64) float64 { return a + v })
 }

@@ -196,32 +196,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestSumTraces(t *testing.T) {
-	a := mustTrace(t, []Sample{{0, 100}, {10, 100}})
-	b := mustTrace(t, []Sample{{0, 50}, {5, 60}, {10, 50}})
-	sum, err := SumTraces(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.At(5); math.Abs(float64(got)-160) > 1e-12 {
-		t.Errorf("sum at 5 = %v", got)
-	}
-	if got := sum.At(0); math.Abs(float64(got)-150) > 1e-12 {
-		t.Errorf("sum at 0 = %v", got)
-	}
-}
-
-func TestSumTracesErrors(t *testing.T) {
-	if _, err := SumTraces(); err == nil {
-		t.Error("empty SumTraces accepted")
-	}
-	a := mustTrace(t, []Sample{{0, 1}, {1, 1}})
-	b := mustTrace(t, []Sample{{5, 1}, {6, 1}})
-	if _, err := SumTraces(a, b); err == nil {
-		t.Error("disjoint traces accepted")
-	}
-}
-
 func TestSegmentValidation(t *testing.T) {
 	if err := (Segment{0.2, 0.1}).Validate(); err == nil {
 		t.Error("inverted segment accepted")

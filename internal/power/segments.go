@@ -30,9 +30,6 @@ func (s Segment) Validate() error {
 	return nil
 }
 
-// Fraction returns the segment length Hi - Lo.
-func (s Segment) Fraction() float64 { return s.Hi - s.Lo }
-
 // Window maps the normalized segment onto the absolute time span
 // [start, end].
 func (s Segment) Window(start, end float64) (a, b float64) {

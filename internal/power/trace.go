@@ -352,49 +352,3 @@ func (t *Trace) Scale(factor float64) *Trace {
 	}
 	return &Trace{samples: out}
 }
-
-// SumTraces returns the pointwise sum of traces over the intersection of
-// their spans, sampled at the union of their timestamps within it. It
-// returns an error if fewer than one trace is given or the spans do not
-// overlap.
-func SumTraces(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, errors.New("power: SumTraces needs at least one trace")
-	}
-	lo, hi := traces[0].Start(), traces[0].End()
-	for _, tr := range traces[1:] {
-		if tr.Start() > lo {
-			lo = tr.Start()
-		}
-		if tr.End() < hi {
-			hi = tr.End()
-		}
-	}
-	if hi <= lo {
-		return nil, errors.New("power: traces do not overlap in time")
-	}
-	timeSet := map[float64]struct{}{}
-	for _, tr := range traces {
-		for _, s := range tr.samples {
-			if s.Time >= lo && s.Time <= hi {
-				timeSet[s.Time] = struct{}{}
-			}
-		}
-	}
-	timeSet[lo] = struct{}{}
-	timeSet[hi] = struct{}{}
-	times := make([]float64, 0, len(timeSet))
-	for x := range timeSet {
-		times = append(times, x)
-	}
-	sort.Float64s(times)
-	out := make([]Sample, len(times))
-	for i, x := range times {
-		var sum Watts
-		for _, tr := range traces {
-			sum += tr.At(x)
-		}
-		out[i] = Sample{Time: x, Power: sum}
-	}
-	return NewTrace(out)
-}

@@ -30,14 +30,10 @@ func (c IntervalComparison) UnderCoverage() float64 {
 	return c.CoverageT - c.CoverageZ
 }
 
-// CompareIntervals runs the bootstrap study twice — once with exact t
-// critical values, once with the z approximation — and pairs the results.
-func CompareIntervals(cfg CoverageConfig) ([]IntervalComparison, error) {
-	return CompareIntervalsCtx(context.Background(), cfg)
-}
-
-// CompareIntervalsCtx is CompareIntervals with cooperative cancellation;
-// a cancellation between or during the two studies returns ctx.Err().
+// CompareIntervalsCtx runs the bootstrap study twice — once with exact t
+// critical values, once with the z approximation — and pairs the
+// results. A cancellation between or during the two studies returns
+// ctx.Err().
 func CompareIntervalsCtx(ctx context.Context, cfg CoverageConfig) ([]IntervalComparison, error) {
 	cfg.UseZ = false
 	tPoints, err := CoverageStudyCtx(ctx, cfg)
@@ -183,8 +179,9 @@ type RobustnessPoint struct {
 }
 
 // RobustnessStudy measures CI coverage across pilot shapes, quantifying
-// where the methodology's normality assumption actually matters.
-func RobustnessStudy(shapes []PilotShape, sampleSizes []int, level float64,
+// where the methodology's normality assumption actually matters. A
+// cancellation between or during the per-shape studies returns ctx.Err().
+func RobustnessStudy(ctx context.Context, shapes []PilotShape, sampleSizes []int, level float64,
 	pilotSize, population, replicates int, seed uint64) ([]RobustnessPoint, error) {
 	var out []RobustnessPoint
 	for _, shape := range shapes {
@@ -192,7 +189,7 @@ func RobustnessStudy(shapes []PilotShape, sampleSizes []int, level float64,
 		if err != nil {
 			return nil, err
 		}
-		points, err := CoverageStudy(CoverageConfig{
+		points, err := CoverageStudyCtx(ctx, CoverageConfig{
 			Pilot:       pilot,
 			Population:  population,
 			SampleSizes: sampleSizes,

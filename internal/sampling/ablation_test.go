@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestCompareIntervalsZUndercovers(t *testing.T) {
 	cfg.SampleSizes = []int{3, 5, 15, 50}
 	cfg.Levels = []float64{0.95}
 	cfg.Replicates = 8000
-	cmp, err := CompareIntervals(cfg)
+	cmp, err := CompareIntervalsCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSyntheticPilotErrors(t *testing.T) {
 }
 
 func TestRobustnessStudyShapesMatter(t *testing.T) {
-	points, err := RobustnessStudy(
+	points, err := RobustnessStudy(context.Background(),
 		[]PilotShape{PilotNormal, PilotSkewed},
 		[]int{5, 50},
 		0.95,

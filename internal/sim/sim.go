@@ -7,7 +7,6 @@ package sim
 
 import (
 	"container/heap"
-	"errors"
 	"math"
 )
 
@@ -57,7 +56,6 @@ type Engine struct {
 	now     float64
 	queue   eventQueue
 	nextSeq uint64
-	stopped bool
 }
 
 // Now returns the current simulation time in seconds.
@@ -100,44 +98,13 @@ func (e *Engine) Every(start, period float64, until func(now float64) bool, fn f
 	e.Schedule(start, tick)
 }
 
-// Stop halts the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// ErrDeadlineBeforeNow is returned by RunUntil when the deadline precedes
-// the current time.
-var ErrDeadlineBeforeNow = errors.New("sim: deadline before current time")
-
-// Run processes events until the queue is empty or Stop is called.
-// It returns the final simulation time.
+// Run processes events until the queue is empty. It returns the final
+// simulation time.
 func (e *Engine) Run() float64 {
-	return e.runCore(math.Inf(1))
-}
-
-// RunUntil processes events with Time <= deadline, then advances the
-// clock to exactly deadline. Events after the deadline stay queued.
-func (e *Engine) RunUntil(deadline float64) (float64, error) {
-	if deadline < e.now {
-		return e.now, ErrDeadlineBeforeNow
-	}
-	e.runCore(deadline)
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-	return e.now, nil
-}
-
-func (e *Engine) runCore(deadline float64) float64 {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].Time > deadline {
-			break
-		}
+	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*Event)
 		e.now = ev.Time
 		ev.Fn(e)
 	}
 	return e.now
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

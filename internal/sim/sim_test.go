@@ -85,56 +85,6 @@ func TestEveryPanicsOnBadPeriod(t *testing.T) {
 	e.Every(0, 0, func(float64) bool { return true }, func(*Engine) {})
 }
 
-func TestStop(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Every(0, 1, func(float64) bool { return true }, func(en *Engine) {
-		count++
-		if count == 5 {
-			en.Stop()
-		}
-	})
-	e.Run()
-	if count != 5 {
-		t.Errorf("count = %d", count)
-	}
-	// The periodic process is still queued; a second Run resumes it.
-	if e.Pending() == 0 {
-		t.Error("expected a pending event after Stop")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var hits []float64
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		x := x
-		e.Schedule(x, func(en *Engine) { hits = append(hits, x) })
-	}
-	now, err := e.RunUntil(3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now != 3.5 {
-		t.Errorf("now = %v", now)
-	}
-	if len(hits) != 3 {
-		t.Errorf("hits = %v", hits)
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-	// Past deadline errors.
-	if _, err := e.RunUntil(1); err != ErrDeadlineBeforeNow {
-		t.Errorf("err = %v", err)
-	}
-	// Resume to completion.
-	e.Run()
-	if len(hits) != 5 {
-		t.Errorf("after resume hits = %v", hits)
-	}
-}
-
 func TestInvalidTimePanics(t *testing.T) {
 	var e Engine
 	defer func() {
@@ -177,12 +127,7 @@ func TestDeterministicReplay(t *testing.T) {
 func BenchmarkEngineThroughput(b *testing.B) {
 	var e Engine
 	n := 0
-	e.Every(0, 1, func(float64) bool { return true }, func(en *Engine) {
-		n++
-		if n >= b.N {
-			en.Stop()
-		}
-	})
+	e.Every(0, 1, func(float64) bool { return n < b.N }, func(*Engine) { n++ })
 	if b.N > 0 {
 		e.Run()
 	}

@@ -167,34 +167,3 @@ func gammaContinuedFraction(a, x float64) float64 {
 	}
 	return h * math.Exp(-x+a*math.Log(x)-lg)
 }
-
-// VarianceCI returns a two-sided confidence interval for the population
-// variance from a sample variance s2 with n observations, using the χ²
-// pivot. It panics for invalid inputs.
-func VarianceCI(s2 float64, n int, confidence float64) (lo, hi float64) {
-	if n < 2 {
-		panic("stats: VarianceCI needs n >= 2")
-	}
-	if s2 < 0 {
-		panic("stats: negative sample variance")
-	}
-	if !(confidence > 0 && confidence < 1) {
-		panic("stats: confidence must be in (0, 1)")
-	}
-	alpha := 1 - confidence
-	d := ChiSquared{K: float64(n - 1)}
-	df := float64(n - 1)
-	return df * s2 / d.Quantile(1-alpha/2), df * s2 / d.Quantile(alpha/2)
-}
-
-// CVConfidenceInterval returns an approximate confidence interval for the
-// coefficient of variation σ/μ from sample statistics, by combining the
-// χ² interval on σ with the sample mean (treating μ̂ as fixed, adequate
-// for the CV ≤ 3% regime of the paper).
-func CVConfidenceInterval(mean, sd float64, n int, confidence float64) (lo, hi float64) {
-	if mean == 0 {
-		panic("stats: CV undefined for zero mean")
-	}
-	vlo, vhi := VarianceCI(sd*sd, n, confidence)
-	return math.Sqrt(vlo) / math.Abs(mean), math.Sqrt(vhi) / math.Abs(mean)
-}

@@ -97,102 +97,6 @@ func TestQuickChiSquaredQuantileInverts(t *testing.T) {
 	}
 }
 
-func TestVarianceCICoversTruth(t *testing.T) {
-	// Empirical coverage of the χ² variance interval on normal data.
-	r := rng.New(99)
-	const trials, n = 3000, 20
-	const sigma2 = 25.0
-	covered := 0
-	xs := make([]float64, n)
-	for i := 0; i < trials; i++ {
-		for j := range xs {
-			xs[j] = r.Normal(0, 5)
-		}
-		lo, hi := VarianceCI(Variance(xs), n, 0.95)
-		if lo <= sigma2 && sigma2 <= hi {
-			covered++
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.93 || rate > 0.97 {
-		t.Errorf("variance CI coverage = %v", rate)
-	}
-}
-
-func TestVarianceCIOrdering(t *testing.T) {
-	lo, hi := VarianceCI(4, 30, 0.95)
-	if !(lo < 4 && 4 < hi) {
-		t.Errorf("interval [%v, %v] does not straddle s²", lo, hi)
-	}
-}
-
-func TestCVConfidenceInterval(t *testing.T) {
-	lo, hi := CVConfidenceInterval(209.88, 5.31, 516, 0.95)
-	cv := 5.31 / 209.88
-	if !(lo < cv && cv < hi) {
-		t.Errorf("CV interval [%v, %v] does not contain %v", lo, hi, cv)
-	}
-	// With 516 nodes the CV is known quite precisely: within ~10%.
-	if hi/lo > 1.2 {
-		t.Errorf("CV interval [%v, %v] too wide for n=516", lo, hi)
-	}
-}
-
-func TestVarianceCIPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"n":    func() { VarianceCI(1, 1, 0.95) },
-		"s2":   func() { VarianceCI(-1, 10, 0.95) },
-		"conf": func() { VarianceCI(1, 10, 0) },
-		"mean": func() { CVConfidenceInterval(0, 1, 10, 0.95) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestLogNormalBasics(t *testing.T) {
-	d := LogNormal{Mu: 0, Sigma: 1}
-	if got := d.CDF(1); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("median CDF = %v", got)
-	}
-	if got := d.Quantile(0.5); !almostEq(got, 1, 1e-9) {
-		t.Errorf("median = %v", got)
-	}
-	if got := d.Mean(); !almostEq(got, math.Exp(0.5), 1e-12) {
-		t.Errorf("mean = %v", got)
-	}
-	if got := d.PDF(-1); got != 0 {
-		t.Errorf("PDF(-1) = %v", got)
-	}
-	if got := d.CDF(0); got != 0 {
-		t.Errorf("CDF(0) = %v", got)
-	}
-	if d.Skewness() <= 0 {
-		t.Error("log-normal skewness must be positive")
-	}
-}
-
-func TestLogNormalSampleMoments(t *testing.T) {
-	d := LogNormal{Mu: 1, Sigma: 0.5}
-	r := rng.New(5)
-	var acc Accumulator
-	for i := 0; i < 100000; i++ {
-		acc.Add(math.Exp(r.Normal(1, 0.5)))
-	}
-	if !almostEq(acc.Mean(), d.Mean(), 0.03*d.Mean()) {
-		t.Errorf("sample mean %v vs theoretical %v", acc.Mean(), d.Mean())
-	}
-	if !almostEq(acc.Variance(), d.Variance(), 0.1*d.Variance()) {
-		t.Errorf("sample variance %v vs theoretical %v", acc.Variance(), d.Variance())
-	}
-}
-
 func TestKolmogorovSmirnovAcceptsMatching(t *testing.T) {
 	r := rng.New(7)
 	xs := make([]float64, 1000)

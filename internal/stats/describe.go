@@ -62,21 +62,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// PopulationVariance returns the population variance (divisor n) of xs.
-// It panics if xs is empty.
-func PopulationVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
 // MeanStdDev returns the sample mean and sample standard deviation in one
 // pass over the data.
 func MeanStdDev(xs []float64) (mean, sd float64) {
@@ -123,11 +108,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the sample median of xs without modifying it.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the p-quantile of xs (0 <= p <= 1) using linear
 // interpolation between order statistics (the common "type 7" definition
 // used by R and NumPy). The input is not modified. It panics if xs is
@@ -143,18 +123,6 @@ func Quantile(xs []float64, p float64) float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return quantileSorted(sorted, p)
-}
-
-// QuantileSorted is Quantile for data already in ascending order; it does
-// not allocate. Behaviour is undefined if xs is not sorted.
-func QuantileSorted(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		panic("stats: quantile probability outside [0, 1]")
-	}
-	return quantileSorted(xs, p)
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {
@@ -178,25 +146,6 @@ func Skewness(xs []float64) float64 {
 	var acc Accumulator
 	acc.AddSlice(xs)
 	return acc.Skewness()
-}
-
-// ExcessKurtosis returns the sample excess kurtosis (kurtosis - 3) using
-// the unbiased estimator. It panics if len(xs) < 4.
-func ExcessKurtosis(xs []float64) float64 {
-	var acc Accumulator
-	acc.AddSlice(xs)
-	return acc.ExcessKurtosis()
-}
-
-// MedianAbsoluteDeviation returns the median absolute deviation from the
-// median, a robust scale estimate. The input is not modified.
-func MedianAbsoluteDeviation(xs []float64) float64 {
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
 }
 
 // Summary captures the descriptive statistics reported throughout the

@@ -36,9 +36,6 @@ func TestMeanVarianceKnown(t *testing.T) {
 	if got := Variance(xs); !almostEq(got, 32.0/7, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7)
 	}
-	if got := PopulationVariance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("PopulationVariance = %v, want 4", got)
-	}
 	if got := StdDev(xs); !almostEq(got, math.Sqrt(32.0/7), 1e-12) {
 		t.Errorf("StdDev = %v", got)
 	}
@@ -69,15 +66,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if got := Max(xs); got != 6 {
 		t.Errorf("Max = %v", got)
-	}
-}
-
-func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %v", got)
 	}
 }
 
@@ -128,22 +116,26 @@ func TestSkewnessSign(t *testing.T) {
 	}
 }
 
-func TestExcessKurtosisNormalSample(t *testing.T) {
-	r := rng.New(5)
-	xs := make([]float64, 50000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
+// TestMedianOddEven pins the Summary median to the middle order
+// statistic (odd n) and the mean of the two middle ones (even n),
+// regardless of input order.
+func TestMedianOddEven(t *testing.T) {
+	if got := Summarize([]float64{3, 1, 2}).Median; got != 2 {
+		t.Errorf("median of odd sample = %v, want 2", got)
 	}
-	if got := ExcessKurtosis(xs); math.Abs(got) > 0.15 {
-		t.Errorf("normal sample excess kurtosis = %v, want ~0", got)
+	if got := Summarize([]float64{4, 1, 3, 2}).Median; got != 2.5 {
+		t.Errorf("median of even sample = %v, want 2.5", got)
 	}
 }
 
-func TestMedianAbsoluteDeviation(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	// median = 2, |x-2| = {1,1,0,0,2,4,7}, median of that = 1.
-	if got := MedianAbsoluteDeviation(xs); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
+func TestExcessKurtosisNormalSample(t *testing.T) {
+	r := rng.New(5)
+	var acc Accumulator
+	for i := 0; i < 50000; i++ {
+		acc.Add(r.NormFloat64())
+	}
+	if got := acc.ExcessKurtosis(); math.Abs(got) > 0.15 {
+		t.Errorf("normal sample excess kurtosis = %v, want ~0", got)
 	}
 }
 

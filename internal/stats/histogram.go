@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
 // Histogram is a fixed-width binned view of a dataset, as used for the
 // per-node power distributions of Figure 2.
 type Histogram struct {
@@ -54,111 +49,7 @@ func (h *Histogram) add(x float64) {
 	h.Total++
 }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
 // BinEdges returns the left edge of bin i and the right edge.
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {
 	return h.Lo + float64(i)*h.Width, h.Lo + float64(i+1)*h.Width
 }
-
-// MaxCount returns the largest bin count (0 for an all-empty histogram).
-func (h *Histogram) MaxCount() int {
-	m := 0
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Density returns the estimated probability density at bin i:
-// count / (total * width).
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.Total) * h.Width)
-}
-
-// SturgesBins returns the Sturges rule bin count, ceil(log2(n)) + 1.
-func SturgesBins(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return int(math.Ceil(math.Log2(float64(n)))) + 1
-}
-
-// FreedmanDiaconisBins returns the Freedman-Diaconis bin count
-// based on the interquartile range, falling back to Sturges when the IQR
-// is zero. It panics if xs is empty.
-func FreedmanDiaconisBins(xs []float64) int {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	iqr := quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
-	if iqr <= 0 {
-		return SturgesBins(len(xs))
-	}
-	width := 2 * iqr / math.Cbrt(float64(len(xs)))
-	span := sorted[len(sorted)-1] - sorted[0]
-	if span <= 0 || width <= 0 {
-		return 1
-	}
-	bins := int(math.Ceil(span / width))
-	if bins < 1 {
-		bins = 1
-	}
-	return bins
-}
-
-// AutoHistogram bins xs using the Freedman-Diaconis rule.
-func AutoHistogram(xs []float64) *Histogram {
-	return NewHistogram(xs, FreedmanDiaconisBins(xs))
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted). It panics if xs is
-// empty.
-func NewECDF(xs []float64) *ECDF {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; advance
-	// past equal values so the ECDF is right-continuous with P(X <= x).
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the p-quantile of the empirical distribution using
-// linear interpolation.
-func (e *ECDF) Quantile(p float64) float64 {
-	return QuantileSorted(e.sorted, p)
-}
-
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Values returns the sorted observations (shared storage; do not modify).
-func (e *ECDF) Values() []float64 { return e.sorted }

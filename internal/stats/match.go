@@ -33,12 +33,6 @@ func MatchMoments(xs []float64, targetMean, targetSD float64) {
 	}
 }
 
-// Standardize transforms xs in place to zero sample mean and unit sample
-// standard deviation. It panics under the same conditions as MatchMoments.
-func Standardize(xs []float64) {
-	MatchMoments(xs, 0, 1)
-}
-
 // RelativeError returns |got-want| / |want|. It panics if want is zero.
 func RelativeError(got, want float64) float64 {
 	if want == 0 {

@@ -48,15 +48,6 @@ func TestMatchMomentsZeroSD(t *testing.T) {
 	}
 }
 
-func TestStandardize(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	Standardize(xs)
-	mean, sd := MeanStdDev(xs)
-	if !almostEq(mean, 0, 1e-12) || !almostEq(sd, 1, 1e-12) {
-		t.Errorf("standardized moments: %v, %v", mean, sd)
-	}
-}
-
 func TestMatchMomentsPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"short":        func() { MatchMoments([]float64{1}, 0, 1) },

@@ -3,13 +3,12 @@ package stats
 import "math"
 
 // StreamMoments tracks first and second moments of a data stream on an
-// ExactSum carrier, so — unlike the classic Welford Accumulator, whose
-// Merge is only approximately associative — any partition of a stream
-// into StreamMoments, merged in any order and any tree shape, yields
-// bit-identical N, Sum, Mean, Variance, Min and Max to the single
-// sequential pass. That makes it the right moment carrier wherever
+// ExactSum carrier, so — unlike the classic Welford Accumulator — any
+// partition of a stream into StreamMoments, merged in any order and any
+// tree shape, yields bit-identical N, Mean and Variance to the single
+// sequential pass. That makes it the moment carrier wherever
 // accumulators are built independently and combined later: the fleet
-// rolling-window buckets, sharded ingestion, parallel reductions.
+// rolling-window buckets and sharded ingestion.
 //
 // Mean and Variance each perform a fixed, deterministic number of
 // float64 roundings on exactly-rendered sums, so their accuracy is
@@ -20,12 +19,9 @@ import "math"
 // The zero value is an empty accumulator ready for use. Methods are not
 // safe for concurrent use.
 type StreamMoments struct {
-	n        int64
-	sum      ExactSum // Σx, exact
-	squares  ExactSum // Σx², exact
-	minSeen  float64
-	maxSeen  float64
-	seenData bool
+	n       int64
+	sum     ExactSum // Σx, exact
+	squares ExactSum // Σx², exact
 }
 
 // Add incorporates one observation. It panics if x is NaN or ±Inf: the
@@ -35,24 +31,6 @@ func (m *StreamMoments) Add(x float64) {
 	m.sum.Add(x)
 	m.squares.AddSquare(x)
 	m.n++
-	if !m.seenData {
-		m.minSeen, m.maxSeen = x, x
-		m.seenData = true
-		return
-	}
-	if x < m.minSeen {
-		m.minSeen = x
-	}
-	if x > m.maxSeen {
-		m.maxSeen = x
-	}
-}
-
-// AddSlice incorporates every element of xs.
-func (m *StreamMoments) AddSlice(xs []float64) {
-	for _, x := range xs {
-		m.Add(x)
-	}
 }
 
 // Merge combines another accumulator into this one, exactly: the result
@@ -61,29 +39,10 @@ func (m *StreamMoments) Merge(o *StreamMoments) {
 	m.sum.Merge(&o.sum)
 	m.squares.Merge(&o.squares)
 	m.n += o.n
-	if o.seenData {
-		if !m.seenData {
-			m.minSeen, m.maxSeen = o.minSeen, o.maxSeen
-			m.seenData = true
-		} else {
-			if o.minSeen < m.minSeen {
-				m.minSeen = o.minSeen
-			}
-			if o.maxSeen > m.maxSeen {
-				m.maxSeen = o.maxSeen
-			}
-		}
-	}
 }
 
 // N returns the number of observations seen.
 func (m *StreamMoments) N() int { return int(m.n) }
-
-// Sum returns the correctly rounded exact sum Σx.
-func (m *StreamMoments) Sum() float64 { return m.sum.Value() }
-
-// SumSquares returns the correctly rounded exact sum of squares Σx².
-func (m *StreamMoments) SumSquares() float64 { return m.squares.Value() }
 
 // Mean returns the stream mean. It panics if no data has been added.
 func (m *StreamMoments) Mean() float64 {
@@ -111,21 +70,3 @@ func (m *StreamMoments) Variance() float64 {
 
 // StdDev returns the sample standard deviation (divisor n-1).
 func (m *StreamMoments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest observation seen. It panics if no data has
-// been added.
-func (m *StreamMoments) Min() float64 {
-	if !m.seenData {
-		panic(ErrEmpty)
-	}
-	return m.minSeen
-}
-
-// Max returns the largest observation seen. It panics if no data has
-// been added.
-func (m *StreamMoments) Max() float64 {
-	if !m.seenData {
-		panic(ErrEmpty)
-	}
-	return m.maxSeen
-}

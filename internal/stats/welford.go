@@ -7,16 +7,16 @@ import "math"
 // central moments up to order four, so mean, variance, skewness and
 // kurtosis are all available without storing the data.
 //
-// The zero value is an empty accumulator ready for use. Accumulators can
-// be combined with Merge, enabling parallel reduction.
+// The zero value is an empty accumulator ready for use. It has no merge:
+// where partial accumulators are built independently and combined,
+// StreamMoments is the carrier, because its merge is exact.
 type Accumulator struct {
-	n              int64
-	mean           float64
-	m2, m3, m4     float64
-	minSeen        float64
-	maxSeen        float64
-	hasExtremes    bool
-	compensatedSum float64
+	n           int64
+	mean        float64
+	m2, m3, m4  float64
+	minSeen     float64
+	maxSeen     float64
+	hasExtremes bool
 }
 
 // Add incorporates one observation.
@@ -32,7 +32,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m4 += term1*deltaN2*(n*n-3*n+3) + 6*deltaN2*a.m2 - 4*deltaN*a.m3
 	a.m3 += term1*deltaN*(n-2) - 3*deltaN*a.m2
 	a.m2 += term1
-	a.compensatedSum += x
 	if !a.hasExtremes {
 		a.minSeen, a.maxSeen = x, x
 		a.hasExtremes = true
@@ -53,45 +52,8 @@ func (a *Accumulator) AddSlice(xs []float64) {
 	}
 }
 
-// Merge combines another accumulator into this one, as if all of b's
-// observations had been added to a. b is unmodified.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	n := na + nb
-	delta := b.mean - a.mean
-	delta2 := delta * delta
-	delta3 := delta2 * delta
-	delta4 := delta2 * delta2
-	mean := a.mean + delta*nb/n
-	m2 := a.m2 + b.m2 + delta2*na*nb/n
-	m3 := a.m3 + b.m3 + delta3*na*nb*(na-nb)/(n*n) +
-		3*delta*(na*b.m2-nb*a.m2)/n
-	m4 := a.m4 + b.m4 + delta4*na*nb*(na*na-na*nb+nb*nb)/(n*n*n) +
-		6*delta2*(na*na*b.m2+nb*nb*a.m2)/(n*n) +
-		4*delta*(na*b.m3-nb*a.m3)/n
-	a.n += b.n
-	a.mean, a.m2, a.m3, a.m4 = mean, m2, m3, m4
-	a.compensatedSum += b.compensatedSum
-	if b.minSeen < a.minSeen {
-		a.minSeen = b.minSeen
-	}
-	if b.maxSeen > a.maxSeen {
-		a.maxSeen = b.maxSeen
-	}
-}
-
 // N returns the number of observations seen.
 func (a *Accumulator) N() int { return int(a.n) }
-
-// Sum returns the running sum of observations.
-func (a *Accumulator) Sum() float64 { return a.compensatedSum }
 
 // Mean returns the running mean. It panics if no data has been added.
 func (a *Accumulator) Mean() float64 {

@@ -33,24 +33,6 @@ func NewImbalanced(base Workload, scales []float64) (*Imbalanced, error) {
 	return &Imbalanced{Base: base, Scales: scales}, nil
 }
 
-// NewImbalancedNormal draws node scales from N(1, cv), clamped positive —
-// mild, symmetric imbalance.
-func NewImbalancedNormal(base Workload, nodes int, cv float64, seed uint64) (*Imbalanced, error) {
-	if nodes <= 0 || cv < 0 {
-		return nil, errors.New("workload: invalid imbalance parameters")
-	}
-	r := rng.New(seed)
-	scales := make([]float64, nodes)
-	for i := range scales {
-		s := r.Normal(1, cv)
-		if s < 0.05 {
-			s = 0.05
-		}
-		scales[i] = s
-	}
-	return NewImbalanced(base, scales)
-}
-
 // NewImbalancedSkewed draws heavily right-skewed scales: most nodes run
 // light, a few run flat out — the "data-intensive workloads" case of the
 // related work (Davis et al.) where node-to-node variation breaks

@@ -50,28 +50,6 @@ func TestImbalancedClamping(t *testing.T) {
 	}
 }
 
-func TestNewImbalancedNormalScales(t *testing.T) {
-	w, err := NewImbalancedNormal(MPrime(100), 2000, 0.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, sd := stats.MeanStdDev(w.Scales)
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("scale mean = %v", mean)
-	}
-	if math.Abs(sd-0.1) > 0.02 {
-		t.Errorf("scale sd = %v", sd)
-	}
-	for _, s := range w.Scales {
-		if s <= 0 {
-			t.Fatal("non-positive scale")
-		}
-	}
-	if _, err := NewImbalancedNormal(MPrime(100), 0, 0.1, 1); err == nil {
-		t.Error("zero nodes accepted")
-	}
-}
-
 func TestNewImbalancedSkewedScales(t *testing.T) {
 	w, err := NewImbalancedSkewed(Firestarter(100), 3000, 9)
 	if err != nil {

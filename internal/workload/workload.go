@@ -80,11 +80,6 @@ func MPrime(duration float64) Constant {
 	return Constant{Label: "MPrime", Duration: duration, Level: 0.94}
 }
 
-// Idle returns an idle "workload".
-func Idle(duration float64) Constant {
-	return Constant{Label: "idle", Duration: duration, Level: 0}
-}
-
 // Iterative models a solver that alternates compute kernels with
 // host-side bookkeeping, like the Rodinia CFD solver used on Titan's GPUs
 // in Table 3: utilization oscillates between High (kernel) and Low
@@ -143,64 +138,4 @@ func (w *Iterative) Utilization(t float64) float64 {
 // MeanUtilization returns the duty-cycle-weighted mean level.
 func (w *Iterative) MeanUtilization() float64 {
 	return w.High*w.DutyCycle + w.Low*(1-w.DutyCycle)
-}
-
-// Phased wraps a workload with explicit setup and teardown phases at a
-// low utilization, so a full job trace (not just the core phase) can be
-// simulated. Times are shifted so t = 0 is the start of setup.
-type Phased struct {
-	Core             Workload
-	Setup, Teardown  float64
-	NonCoreUtilLevel float64
-}
-
-// Name returns the core workload's name.
-func (w *Phased) Name() string { return w.Core.Name() }
-
-// CoreDuration returns the core-phase length, honoring the Workload
-// contract: setup and teardown are excluded. (It previously returned
-// setup+core+teardown, so any generic consumer computing a measurement
-// window from CoreDuration on a Phased got a window spanning the
-// non-core phases too.)
-func (w *Phased) CoreDuration() float64 {
-	return w.Core.CoreDuration()
-}
-
-// TotalDuration returns the full job span including setup and teardown —
-// what a simulator must cover to produce the whole trace.
-func (w *Phased) TotalDuration() float64 {
-	return w.Setup + w.Core.CoreDuration() + w.Teardown
-}
-
-// CoreWindow returns the absolute [start, end) of the core phase within
-// the phased timeline.
-func (w *Phased) CoreWindow() (start, end float64) {
-	return w.Setup, w.Setup + w.Core.CoreDuration()
-}
-
-// Utilization returns the setup/teardown level outside the core phase and
-// the core workload's utilization inside it.
-func (w *Phased) Utilization(t float64) float64 {
-	if t < 0 || t >= w.TotalDuration() {
-		return 0
-	}
-	start, end := w.CoreWindow()
-	if t < start || t >= end {
-		return w.NonCoreUtilLevel
-	}
-	return w.Core.Utilization(t - start)
-}
-
-// Graph500 returns a Graph500-style breadth-first-search workload: bursty
-// and memory-bound, with utilization alternating between moderately high
-// traversal phases and low communication phases. The Green Graph 500 uses
-// this shape with the same power methodology, which is why a non-flat,
-// lower-utilization profile matters for the measurement rules.
-func Graph500(duration float64) *Iterative {
-	w, err := NewIterative("Graph500 BFS", duration, 0.7, 0.35, 45, 0.6)
-	if err != nil {
-		// Unreachable: constants are valid.
-		panic(err)
-	}
-	return w
 }

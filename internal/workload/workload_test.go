@@ -69,9 +69,6 @@ func TestConstantWorkloads(t *testing.T) {
 	if got := mp.Utilization(50); got != 0.94 {
 		t.Errorf("MPrime utilization = %v", got)
 	}
-	if got := Idle(10).Utilization(5); got != 0 {
-		t.Errorf("Idle utilization = %v", got)
-	}
 }
 
 func TestIterativeValidation(t *testing.T) {
@@ -121,40 +118,6 @@ func TestRodiniaCFD(t *testing.T) {
 	}
 }
 
-func TestPhased(t *testing.T) {
-	run := hplRun(t)
-	core, err := NewHPL(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Phased{Core: core, Setup: 100, Teardown: 50, NonCoreUtilLevel: 0.1}
-	// CoreDuration honors the Workload contract: the core phase alone.
-	// (It used to return setup+core+teardown, so a generic consumer
-	// deriving a measurement window from it spanned the non-core phases.)
-	if got := p.CoreDuration(); math.Abs(got-run.CoreDuration) > 1e-9 {
-		t.Errorf("phased core duration = %v, want %v", got, run.CoreDuration)
-	}
-	if got := p.TotalDuration(); math.Abs(got-(run.CoreDuration+150)) > 1e-9 {
-		t.Errorf("phased total duration = %v, want %v", got, run.CoreDuration+150)
-	}
-	start, end := p.CoreWindow()
-	if start != 100 || math.Abs(end-(100+run.CoreDuration)) > 1e-12 {
-		t.Errorf("core window = (%v, %v)", start, end)
-	}
-	if got := p.Utilization(50); got != 0.1 {
-		t.Errorf("setup utilization = %v", got)
-	}
-	if got := p.Utilization(100); got != core.Utilization(0) {
-		t.Errorf("core start utilization = %v", got)
-	}
-	if got := p.Utilization(end + 1); got != 0.1 {
-		t.Errorf("teardown utilization = %v", got)
-	}
-	if got := p.Utilization(-5); got != 0 {
-		t.Errorf("pre-run utilization = %v", got)
-	}
-}
-
 // Property: all workloads stay within [0, 1] utilization everywhere.
 func TestQuickUtilizationBounds(t *testing.T) {
 	run := hplRun(t)
@@ -167,7 +130,6 @@ func TestQuickUtilizationBounds(t *testing.T) {
 		Firestarter(1000),
 		MPrime(1000),
 		RodiniaCFD(1000),
-		&Phased{Core: Firestarter(100), Setup: 10, Teardown: 10, NonCoreUtilLevel: 0.2},
 	}
 	f := func(raw uint32) bool {
 		tt := float64(raw)/4e6 - 100
@@ -181,20 +143,5 @@ func TestQuickUtilizationBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGraph500Shape(t *testing.T) {
-	w := Graph500(900)
-	if w.CoreDuration() != 900 {
-		t.Errorf("duration = %v", w.CoreDuration())
-	}
-	mean := w.MeanUtilization()
-	// Memory-bound graph traversal: well below HPL-class utilization.
-	if mean < 0.4 || mean > 0.7 {
-		t.Errorf("Graph500 mean utilization = %v", mean)
-	}
-	if w.Utilization(10) <= w.Utilization(40) {
-		t.Errorf("expected traversal burst above communication phase")
 	}
 }
