@@ -5,11 +5,8 @@ COVER_FLOOR ?= 80
 CHAOS_SEEDS ?= 8
 CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,nodedrop=0.15
 
-FLEET_FUZZTIME ?= 30s
-DIST_FUZZTIME ?= 30s
-METER_FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt-check race check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
+.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve loadcheck obs-serve-check dist-check
 
 build:
 	$(GO) build ./...
@@ -27,16 +24,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Smoke-run the fuzz targets guarding the numeric core (sample-size
-# planning, confidence intervals) and the trace parser/gap-tolerant
-# integration against gappy and NaN-laden inputs. go test accepts one
-# -fuzz target per invocation, hence the separate runs.
-fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/power
-	$(GO) test -run='^$$' -fuzz=FuzzTolerantEnergy -fuzztime=$(FUZZTIME) ./internal/power
-	$(GO) test -run='^$$' -fuzz=FuzzPlanSampleSize -fuzztime=$(FUZZTIME) ./internal/sampling
-	$(GO) test -run='^$$' -fuzz=FuzzMeanCI -fuzztime=$(FUZZTIME) ./internal/stats
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint
+# Fuzz every Fuzz* target in the module for FUZZTIME each. The targets
+# are found with go test -list, so a new one cannot be left out; go test
+# accepts one -fuzz target per invocation, hence the loop.
+fuzz:
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1; next} /^ok/ {for (i = 0; i < n; i++) print $$2 ":" t[i]; n = 0}'); \
+	[ -n "$$targets" ] || { echo "fuzz: no Fuzz targets found"; exit 1; }; \
+	for pt in $$targets; do \
+	  echo "== $${pt#*:} ($${pt%%:*}, $(FUZZTIME))"; \
+	  $(GO) test -run='^$$' -fuzz="^$${pt#*:}\$$" -fuzztime=$(FUZZTIME) $${pt%%:*}; \
+	done
 
 # Coverage floor for the fault-injection layer and the power core it
 # hardens: these packages carry the never-a-silent-wrong-answer
@@ -54,13 +52,14 @@ cover-check:
 chaos:
 	$(GO) run ./cmd/chaos -seeds $(CHAOS_SEEDS) -faults "$(CHAOS_FAULTS)"
 
-# The interrupt/resume gate: the end-to-end SIGINT test against the real
-# repro binary, without the race detector. The resumetest harness
-# (randomized seeded cancel points, resume, byte-identical final output),
-# the checkpoint codec and the signal/exit-code plumbing run under the
-# race detector in `make check`.
+# The interrupt/resume gate: the end-to-end SIGINT-then-resume test
+# against the real repro binary and the truthful-manifest checks of the
+# -checkpoint/-resume flags, without the race detector. The resumetest
+# harness (randomized seeded cancel points, resume, byte-identical final
+# output), the checkpoint codec and the signal/exit-code plumbing run
+# under the race detector in `make check`.
 interrupt:
-	$(GO) test -count=1 -run TestReproInterrupt .
+	$(GO) test -count=1 -run 'TestReproInterrupt|TestCheckpointFlagsTellTheTruth' .
 
 # Scan the module against the Go vulnerability database. Needs network
 # access to fetch the tool and the DB, so it is a CI gate rather than
@@ -69,8 +68,9 @@ vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
 # The full pre-commit gate: formatting, vet, build, the test suite under
-# the race detector, fuzz smoke, and the coverage floor.
-check: fmt-check vet build race fuzz-smoke cover-check
+# the race detector, every fuzz target for FUZZTIME (10s), and the
+# coverage floor.
+check: fmt-check vet build race fuzz cover-check
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
@@ -115,36 +115,14 @@ SERVE_ADDR ?= :8080
 serve:
 	$(GO) run ./cmd/nodevard -addr $(SERVE_ADDR)
 
-# The streaming-fleet gate: the ingest-decoder and quantile-sketch fuzz
-# targets. The exact-sum/sketch/fleet/server suites and the
-# batch-equivalence replay harness (8 seeds, randomized batch splits and
-# duplicate re-sends, bit-identical moments/CI/recommendations) run under
-# the race detector in `make check`. go test accepts one -fuzz target per
-# invocation, hence the separate runs.
-fleet-check:
-	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=$(FLEET_FUZZTIME) ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzQuantileSketch -fuzztime=$(FLEET_FUZZTIME) ./internal/stats
-
 # The distributed-serving gate: the 1-vs-4 worker loadgen scaling proof
-# (>=2x completed studies, zero 5xx) and the job-envelope decoder fuzz
-# target. The dist package (ring, protocol, worker, frontend, net-fault
-# chaos composition) and the two-worker SIGKILL failover suite with
-# byte-identity against a single-process reference across four seeds run
-# under the race detector in `make check`.
+# (>=2x completed studies, zero 5xx). The dist package (ring, protocol,
+# worker, frontend, net-fault chaos composition) and the two-worker
+# SIGKILL failover suite with byte-identity against a single-process
+# reference across four seeds run under the race detector in `make
+# check`; the job-envelope decoder fuzz target runs in `make fuzz`.
 dist-check:
 	NODEVAR_DIST_SCALE=1 $(GO) test -count=1 -run TestDistScalingGate .
-	$(GO) test -run='^$$' -fuzz=FuzzJobDecode -fuzztime=$(DIST_FUZZTIME) ./internal/dist
-
-# The meter-model gate: the spec and model fuzz targets (arbitrary specs
-# and windows: no panics, exact sample grids, bounded averages). The
-# instrument stack (drift-free sampling grid, quantizer rounding,
-# windowed/OCC architectures), the workload layer it measures and the
-# methodology distortion comparison run under the race detector in
-# `make check`. go test accepts one -fuzz target per invocation, hence
-# the separate runs.
-meter-check:
-	$(GO) test -run='^$$' -fuzz=FuzzMeterSpec -fuzztime=$(METER_FUZZTIME) ./internal/meter
-	$(GO) test -run='^$$' -fuzz=FuzzMeterModels -fuzztime=$(METER_FUZZTIME) ./internal/meter
 
 # The load-shedding/coalescing gate: ~120 concurrent identical coverage
 # requests against a lowered concurrency limit, under the race detector.

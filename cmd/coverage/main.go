@@ -10,14 +10,15 @@
 //	coverage -system titan -population 18688
 //	coverage -replicates 100000 -checkpoint cov.ckpt -resume
 //
-// SIGINT/SIGTERM cancel the study at the next chunk boundary, flushing
-// the checkpoint (when configured) and an "interrupted" manifest before
-// exiting 130; a second signal exits immediately.
+// -checkpoint keeps the study's progress in a file; -resume continues
+// from it (a missing file is a fresh start) with output byte-identical
+// to an uninterrupted run. SIGINT/SIGTERM cancel the study at the next
+// chunk boundary, flushing the checkpoint (when configured) and an
+// "interrupted" manifest before exiting 130; a second signal exits
+// immediately. A failed study exits 1 with a "failed" manifest.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,6 +45,7 @@ func realMain() int {
 		obsFlags   = cli.RegisterObsFlags()
 		execFlags  = cli.RegisterExecFlags()
 	)
+	execFlags.RegisterCheckpoint(flag.CommandLine)
 	flag.Parse()
 	if err := execFlags.Validate(); err != nil {
 		fatal(err)
@@ -82,22 +84,23 @@ func realMain() int {
 	if err != nil {
 		fatal(err)
 	}
+	resume, sink, err := run.Progress(execFlags)
+	if err != nil {
+		return run.Close(err)
+	}
 
 	points, err := sampling.CoverageStudyCtx(ctx, sampling.CoverageConfig{
-		Pilot:       pilot,
-		Population:  pop,
-		SampleSizes: ns,
-		Levels:      levels,
-		Replicates:  *replicates,
-		Seed:        *seed,
-		Checkpoint:  execFlags.Checkpoint,
-		Resume:      execFlags.Resume,
+		Pilot:        pilot,
+		Population:   pop,
+		SampleSizes:  ns,
+		Levels:       levels,
+		Replicates:   *replicates,
+		Seed:         *seed,
+		ResumeData:   resume,
+		OnCheckpoint: sink,
 	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return run.Close(err)
-		}
-		fatal(err)
+		return run.Close(err)
 	}
 
 	headers := []string{"n"}

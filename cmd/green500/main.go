@@ -34,9 +34,6 @@ func realMain() int {
 		execFlags = cli.RegisterExecFlags()
 	)
 	flag.Parse()
-	if err := execFlags.Validate(); err != nil {
-		fatal(err)
-	}
 
 	run, err := obsFlags.Start("green500")
 	if err != nil {

@@ -100,9 +100,6 @@ func realMain() int {
 		execFlags  = cli.RegisterExecFlags()
 	)
 	flag.Parse()
-	if err := execFlags.Validate(); err != nil {
-		fatal(err)
-	}
 	if *target == "" {
 		fatal(errors.New("-target is required"))
 	}

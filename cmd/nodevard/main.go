@@ -85,9 +85,6 @@ func realMain() int {
 		execFlags = cli.RegisterExecFlags()
 	)
 	flag.Parse()
-	if err := execFlags.Validate(); err != nil {
-		fatal(err)
-	}
 	if *role != "api" && *role != "worker" {
 		fatal(fmt.Errorf("unknown -role %q (want api or worker)", *role))
 	}

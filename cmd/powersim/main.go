@@ -42,9 +42,6 @@ func realMain() int {
 		execFlags  = cli.RegisterExecFlags()
 	)
 	flag.Parse()
-	if err := execFlags.Validate(); err != nil {
-		fatal(err)
-	}
 
 	sched, err := faultFlags.Schedule()
 	if err != nil {

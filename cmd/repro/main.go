@@ -8,6 +8,11 @@
 //	repro -exp all -out results/        # also write per-table CSV files
 //	repro -exp figure3 -checkpoint fig3.ckpt -resume -timeout 30m
 //
+// -checkpoint keeps the Figure 3 coverage study's progress in a file;
+// -resume continues from it (a missing file is a fresh start), and the
+// output is byte-identical to an uninterrupted run. The manifest's
+// exec.resumed is set only when progress was actually loaded.
+//
 // SIGINT/SIGTERM cancel the run gracefully: in-flight work stops at the
 // next chunk boundary, the checkpoint (if configured) and a manifest
 // with status "interrupted" are flushed, and the process exits 130. A
@@ -44,6 +49,7 @@ func realMain() int {
 		obsFlags   = cli.RegisterObsFlags()
 		execFlags  = cli.RegisterExecFlags()
 	)
+	execFlags.RegisterCheckpoint(flag.CommandLine)
 	flag.Parse()
 	if err := execFlags.Validate(); err != nil {
 		fatalf("%v", err)
@@ -60,14 +66,18 @@ func realMain() int {
 	run.SetConfig("samples", *samples)
 	run.SetConfig("replicates", *replicates)
 	run.SetConfig("trials", *trials)
+	resume, sink, err := run.Progress(execFlags)
+	if err != nil {
+		return run.Close(err)
+	}
 
 	opts := core.Options{
 		Seed:              *seed,
 		TraceSamples:      *samples,
 		Replicates:        *replicates,
 		MeasurementTrials: *trials,
-		CheckpointPath:    execFlags.Checkpoint,
-		Resume:            execFlags.Resume,
+		ResumeData:        resume,
+		OnCheckpoint:      sink,
 	}
 
 	// Experiments run in parallel (core.RunAllCtx) and render afterwards

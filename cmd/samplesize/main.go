@@ -35,9 +35,6 @@ func realMain() int {
 		execFlags  = cli.RegisterExecFlags()
 	)
 	flag.Parse()
-	if err := execFlags.Validate(); err != nil {
-		fatal(err)
-	}
 
 	run, err := obsFlags.Start("samplesize")
 	if err != nil {

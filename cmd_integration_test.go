@@ -235,7 +235,8 @@ func TestNodevardServe(t *testing.T) {
 // TestReproInterrupt drives the graceful-shutdown path end to end: a
 // long Figure 3 run is interrupted with SIGINT once its checkpoint file
 // exists, and must exit 130 leaving a loadable checkpoint and a
-// run manifest with status "interrupted".
+// run manifest with status "interrupted". Resuming from that checkpoint
+// must print the uninterrupted run's bytes and record exec.resumed.
 func TestReproInterrupt(t *testing.T) {
 	dir := buildCmds(t)
 	ckpt := filepath.Join(dir, "fig3.ckpt")
@@ -285,15 +286,7 @@ func TestReproInterrupt(t *testing.T) {
 
 	// The manifest must be the v3 schema with the interrupted status and
 	// the exec section describing the run.
-	f, err := os.Open(manifest)
-	if err != nil {
-		t.Fatalf("no manifest after interrupt: %v", err)
-	}
-	defer f.Close()
-	m, err := obs.ReadManifest(f)
-	if err != nil {
-		t.Fatalf("interrupted manifest unreadable: %v", err)
-	}
+	m := readManifest(t, manifest)
 	if m.Schema != obs.ManifestSchema || m.Status != obs.StatusInterrupted {
 		t.Errorf("manifest schema %q status %q, want %q/interrupted", m.Schema, m.Status, obs.ManifestSchema)
 	}
@@ -304,11 +297,91 @@ func TestReproInterrupt(t *testing.T) {
 	// The checkpoint must be structurally intact: probing it with the
 	// wrong kind must fail the *stamp* check (ErrMismatch), which only
 	// happens after the schema and checksum validate.
+	raw, err := checkpoint.ReadFile(ckpt)
+	if err != nil || raw == nil {
+		t.Fatalf("reading the checkpoint: %q, %v", raw, err)
+	}
 	var state json.RawMessage
-	err = checkpoint.Load(ckpt, "bogus/kind", 0, 0, &state)
+	err = checkpoint.Decode(raw, "bogus/kind", 0, 0, &state)
 	if !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Errorf("checkpoint probe error = %v, want ErrMismatch (intact envelope)", err)
 	}
+
+	// Resuming from what the interrupted run left finishes to the bytes
+	// of an uninterrupted run, and the manifest says it resumed.
+	resumedManifest := filepath.Join(dir, "resumed.json")
+	resumed := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", "400000",
+		"-checkpoint", ckpt, "-resume", "-manifest", resumedManifest)
+	clean := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", "400000")
+	if resumed != clean {
+		t.Errorf("resumed output differs from an uninterrupted run:\n%s\n---\n%s", resumed, clean)
+	}
+	if m := readManifest(t, resumedManifest); m.Status != obs.StatusOK || m.Exec == nil || !m.Exec.Resumed {
+		t.Errorf("resumed run manifest: status %q exec %+v, want ok and resumed", m.Status, m.Exec)
+	}
+}
+
+func readManifest(t *testing.T, path string) *obs.Manifest {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("no manifest: %v", err)
+	}
+	defer f.Close()
+	m, err := obs.ReadManifest(f)
+	if err != nil {
+		t.Fatalf("manifest %s unreadable: %v", path, err)
+	}
+	return m
+}
+
+// TestCheckpointFlagsTellTheTruth: only the commands with a resumable
+// study take -checkpoint/-resume, a resume that finds no file records a
+// fresh start, and a checkpoint that cannot be written fails the run.
+func TestCheckpointFlagsTellTheTruth(t *testing.T) {
+	dir := buildCmds(t)
+	bin := func(name string) string { return filepath.Join(dir, name) }
+
+	t.Run("samplesize rejects -checkpoint", func(t *testing.T) {
+		out, err := exec.Command(bin("samplesize"), "-nodes", "1000", "-checkpoint", "x.ckpt").CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -checkpoint") {
+			t.Errorf("samplesize -checkpoint: err %v\n%s", err, out)
+		}
+	})
+
+	t.Run("resume from a missing file starts fresh", func(t *testing.T) {
+		ckpt := filepath.Join(dir, "absent.ckpt")
+		manifest := filepath.Join(dir, "fresh.json")
+		out := run(t, bin("repro"), "-exp", "figure3", "-replicates", "2000",
+			"-resume", "-checkpoint", ckpt, "-manifest", manifest)
+		if clean := run(t, bin("repro"), "-exp", "figure3", "-replicates", "2000"); out != clean {
+			t.Errorf("fresh-start output differs from a plain run:\n%s\n---\n%s", out, clean)
+		}
+		m := readManifest(t, manifest)
+		if m.Status != obs.StatusOK || m.Exec == nil || m.Exec.Checkpoint != ckpt || m.Exec.Resumed {
+			t.Errorf("manifest: status %q exec %+v, want ok, the checkpoint path and not resumed", m.Status, m.Exec)
+		}
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Errorf("the fresh run left no checkpoint: %v", err)
+		}
+	})
+
+	t.Run("unwritable checkpoint fails the run", func(t *testing.T) {
+		manifest := filepath.Join(dir, "failed.json")
+		cmd := exec.Command(bin("repro"), "-exp", "figure3", "-replicates", "2000",
+			"-checkpoint", filepath.Join(dir, "no-such-dir", "x.ckpt"), "-manifest", manifest)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 1 {
+			t.Fatalf("exit code %d (%v), want 1\n%s", code, err, out)
+		}
+		if !strings.Contains(string(out), "flushing checkpoint") {
+			t.Errorf("error output does not name the checkpoint flush:\n%s", out)
+		}
+		if m := readManifest(t, manifest); m.Status != obs.StatusFailed {
+			t.Errorf("manifest status %q, want %q", m.Status, obs.StatusFailed)
+		}
+	})
 }
 
 // TestNodevardIngestServe drives the streaming fleet subsystem end to

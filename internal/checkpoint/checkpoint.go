@@ -9,17 +9,16 @@
 // payload makes corruption and truncation loud — a damaged checkpoint
 // errors on load, it never silently yields partial state.
 //
-// Writes are atomic and durable (temp file + fsync + rename in the
-// destination directory, then an fsync of the directory itself), so a
-// crash mid-save — including a whole-host crash that loses the page
-// cache — leaves either the previous checkpoint or the new one, never a
-// torn file.
-//
-// The envelope also exists independently of the filesystem: Encode and
-// Decode translate between a state value and the stamped, checksummed
-// envelope bytes, so the same codec that persists a study to disk can
-// stream its progress over a network connection (the distributed
-// coverage engine in internal/dist ships these bytes between workers).
+// The envelope is bytes first: Encode and Decode translate between a
+// state value and the stamped, checksummed envelope, and a study only
+// ever takes and emits those bytes. Where they go is the caller's
+// choice — internal/dist streams them between workers, and the two
+// commands with a -checkpoint flag keep them in a file through the only
+// file code here: WriteFileAtomic and ReadFile. Writes are atomic and
+// durable (temp file + fsync + rename in the destination directory, then
+// an fsync of the directory itself), so a crash mid-write — including a
+// whole-host crash that loses the page cache — leaves either the
+// previous checkpoint or the new one, never a torn file.
 package checkpoint
 
 import (
@@ -34,7 +33,7 @@ import (
 // Schema identifies the envelope layout; bump on breaking changes.
 const Schema = "nodevar/checkpoint/v1"
 
-// Sentinel errors, wrapped by Load with detail. Callers distinguish
+// Sentinel errors, wrapped by Decode with detail. Callers distinguish
 // "this checkpoint is damaged" (ErrCorrupt) from "this checkpoint is
 // healthy but belongs to a different run" (ErrMismatch); only the
 // latter is a usage error.
@@ -66,10 +65,8 @@ func checksum(kind string, seed, fingerprint uint64, payload []byte) uint32 {
 }
 
 // Encode marshals state into a stamped, checksummed envelope and
-// returns the envelope bytes — the exact bytes Save would write to
-// disk. Use it to carry a checkpoint over a transport other than the
-// filesystem; Decode on the receiving side verifies the same stamps
-// Load would.
+// returns the envelope bytes; Decode on the receiving side verifies
+// them, whether they crossed a network or a file.
 func Encode(kind string, seed, fingerprint uint64, state any) ([]byte, error) {
 	payload, err := json.Marshal(state)
 	if err != nil {
@@ -91,10 +88,9 @@ func Encode(kind string, seed, fingerprint uint64, state any) ([]byte, error) {
 }
 
 // Decode verifies envelope bytes (integrity, then the kind/seed/
-// fingerprint stamps) and unmarshals the payload into state. It is
-// Load for a checkpoint that never touched a file: ErrCorrupt for
-// damaged bytes, ErrMismatch for a healthy envelope that belongs to a
-// different run.
+// fingerprint stamps) and unmarshals the payload into state:
+// ErrCorrupt for damaged bytes, ErrMismatch for a healthy envelope that
+// belongs to a different run.
 func Decode(raw []byte, kind string, seed, fingerprint uint64, state any) error {
 	env, err := decode(raw)
 	if err != nil {
@@ -116,24 +112,11 @@ func Decode(raw []byte, kind string, seed, fingerprint uint64, state any) error 
 	return nil
 }
 
-// Save marshals state and writes it to path atomically and durably,
-// stamped with kind, seed and fingerprint. An existing file at path is
-// replaced only once the new checkpoint is fully on disk: the temp file
-// is fsynced before the rename and the parent directory after it, so a
-// host crash at any instant leaves a loadable checkpoint (old or new),
-// never a torn one.
-func Save(path, kind string, seed, fingerprint uint64, state any) error {
-	raw, err := Encode(kind, seed, fingerprint, state)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, raw)
-}
-
-// WriteFileAtomic replaces path with raw via the durable
-// temp+fsync+rename+dir-fsync dance Save uses. Exported so callers that
-// already hold Encode output (e.g. a checkpoint frame received over the
-// network) can persist it without a decode/re-encode round trip.
+// WriteFileAtomic replaces path with the envelope bytes raw. An existing
+// file is replaced only once the new bytes are fully on disk: the temp
+// file is fsynced before the rename and the parent directory after it,
+// so a host crash at any instant leaves a readable checkpoint (old or
+// new), never a torn one.
 func WriteFileAtomic(path string, raw []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -176,24 +159,22 @@ func WriteFileAtomic(path string, raw []byte) error {
 	return nil
 }
 
-// Load reads the checkpoint at path, verifies its integrity and stamps,
-// and unmarshals the payload into state. It fails with an error wrapping
-// ErrCorrupt for unreadable, truncated or checksum-failing files, and
-// with one wrapping ErrMismatch when the checkpoint is intact but was
-// produced by a different kind, seed or configuration.
-func Load(path, kind string, seed, fingerprint uint64, state any) error {
+// ReadFile returns the envelope bytes WriteFileAtomic left at path, for
+// Decode (or a study's ResumeData) to verify. A missing file is no
+// progress yet: ReadFile returns nil bytes and no error.
+func ReadFile(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: reading %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", path, err)
 	}
-	if err := Decode(raw, kind, seed, fingerprint, state); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
+	return raw, nil
 }
 
 // decode parses and integrity-checks an envelope without judging whose
-// run it belongs to. Split from Load so the fuzz target can drive it on
+// run it belongs to. Split from Decode so the fuzz target can drive it on
 // raw bytes.
 func decode(raw []byte) (*Envelope, error) {
 	var env Envelope

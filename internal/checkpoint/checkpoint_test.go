@@ -23,15 +23,33 @@ func demo() demoState {
 	}
 }
 
+// save and load are the file round trip of a command with -checkpoint:
+// Encode then WriteFileAtomic, and ReadFile then Decode.
+func save(path, kind string, seed, fingerprint uint64, state any) error {
+	raw, err := Encode(kind, seed, fingerprint, state)
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, raw)
+}
+
+func load(path, kind string, seed, fingerprint uint64, state any) error {
+	raw, err := ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return Decode(raw, kind, seed, fingerprint, state)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	want := demo()
-	if err := Save(path, "demo", 7, 42, want); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := save(path, "demo", 7, 42, want); err != nil {
+		t.Fatalf("save: %v", err)
 	}
 	var got demoState
-	if err := Load(path, "demo", 7, 42, &got); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := load(path, "demo", 7, 42, &got); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
@@ -42,14 +60,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveReplacesAtomically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 1, 1, demoState{Done: []int{1}}); err != nil {
+	if err := save(path, "demo", 1, 1, demoState{Done: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, "demo", 1, 1, demoState{Done: []int{1, 2}}); err != nil {
+	if err := save(path, "demo", 1, 1, demoState{Done: []int{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	var got demoState
-	if err := Load(path, "demo", 1, 1, &got); err != nil {
+	if err := load(path, "demo", 1, 1, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Done) != 2 {
@@ -67,7 +85,7 @@ func TestSaveReplacesAtomically(t *testing.T) {
 
 func TestLoadRejectsMismatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := save(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	var s demoState
@@ -80,7 +98,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		{"wrong seed", "demo", 8, 42},
 		{"wrong fingerprint", "demo", 7, 43},
 	} {
-		err := Load(path, tc.kind, tc.seed, tc.fingerprint, &s)
+		err := load(path, tc.kind, tc.seed, tc.fingerprint, &s)
 		if !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s: err = %v, want ErrMismatch", tc.name, err)
 		}
@@ -90,7 +108,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 func TestLoadRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := save(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -114,7 +132,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		if err := Load(p, "demo", 7, 42, &s); err == nil {
+		if err := load(p, "demo", 7, 42, &s); err == nil {
 			t.Fatalf("byte flip at offset %d (%q -> %q) loaded cleanly", i, b, mut[i])
 		}
 		flipped++
@@ -130,7 +148,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		err := Load(p, "demo", 7, 42, &s)
+		err := load(p, "demo", 7, 42, &s)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("truncation to %d bytes: err = %v, want ErrCorrupt", cut, err)
 		}
@@ -152,20 +170,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("round trip changed state:\n encoded %s\n decoded %s", a, b)
 	}
-	// Encode emits the exact bytes Save persists: a checkpoint streamed
-	// over the network and one written to disk are interchangeable.
+	// A file holds exactly the envelope bytes: a checkpoint streamed over
+	// the network and one written to disk are interchangeable.
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 7, 42, want); err != nil {
+	if err := WriteFileAtomic(path, raw); err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := os.ReadFile(path)
+	onDisk, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(onDisk) != string(raw) {
-		t.Error("Save bytes differ from Encode bytes")
+		t.Error("ReadFile bytes differ from the written envelope")
 	}
-	// Decode enforces the same stamps Load does.
+	// Decode enforces the kind/seed/fingerprint stamps and integrity.
 	if err := Decode(raw, "other", 7, 42, &got); !errors.Is(err, ErrMismatch) {
 		t.Errorf("wrong kind: err = %v, want ErrMismatch", err)
 	}
@@ -182,7 +200,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestNoTornPrefixLoadable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := save(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -196,7 +214,7 @@ func TestNoTornPrefixLoadable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		if err := Load(torn, "demo", 7, 42, &s); err == nil {
+		if err := load(torn, "demo", 7, 42, &s); err == nil {
 			// A prefix may load only if it is merely missing trailing
 			// whitespace, i.e. it decodes to exactly the full state —
 			// anything else is a torn checkpoint leaking through.
@@ -208,20 +226,23 @@ func TestNoTornPrefixLoadable(t *testing.T) {
 	}
 }
 
+// TestLoadMissingFile: a checkpoint file that does not exist yet is no
+// progress, not an error — ReadFile returns no bytes, which a study
+// reads as a fresh start.
 func TestLoadMissingFile(t *testing.T) {
-	var s demoState
-	err := Load(filepath.Join(t.TempDir(), "absent.json"), "demo", 1, 1, &s)
-	if err == nil {
-		t.Fatal("loading a missing file succeeded")
+	raw, err := ReadFile(filepath.Join(t.TempDir(), "absent.json"))
+	if err != nil || raw != nil {
+		t.Fatalf("ReadFile(missing) = %q, %v; want nil, nil", raw, err)
 	}
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("err = %v, want to wrap os.ErrNotExist", err)
+	// Any other read failure is reported: a directory is not a checkpoint.
+	if _, err := ReadFile(t.TempDir()); err == nil {
+		t.Error("ReadFile of a directory succeeded")
 	}
 }
 
 func TestLoadRejectsWrongSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 1, 1, demo()); err != nil {
+	if err := save(path, "demo", 1, 1, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
@@ -230,7 +251,7 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s demoState
-	err := Load(path, "demo", 1, 1, &s)
+	err := load(path, "demo", 1, 1, &s)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt for unknown schema", err)
 	}

@@ -10,12 +10,14 @@ import (
 	"syscall"
 	"time"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
 )
 
-// ExecFlags is the execution-control flag set shared by every
-// command-line tool: a whole-run timeout, checkpoint/resume for long
-// experiments, and the per-phase deadline watchdog.
+// ExecFlags is the execution-control flag set. Every command-line tool
+// takes a whole-run timeout and the per-phase deadline watchdog;
+// checkpoint/resume is registered only by the commands whose study can
+// resume (repro and coverage), via RegisterCheckpoint.
 type ExecFlags struct {
 	Timeout       time.Duration
 	Checkpoint    string
@@ -23,16 +25,23 @@ type ExecFlags struct {
 	PhaseDeadline time.Duration
 }
 
-// Register installs the flags on fs.
+// Register installs the shared flags, -timeout and -phase-deadline, on
+// fs.
 func (e *ExecFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&e.Timeout, "timeout", 0,
 		"cancel the run after this duration (e.g. 10m) and exit 124; 0 disables")
-	fs.StringVar(&e.Checkpoint, "checkpoint", "",
-		"save resumable progress of long experiments (the Figure 3 coverage study) to this file")
-	fs.BoolVar(&e.Resume, "resume", false,
-		"load progress from -checkpoint before running; a missing file is a fresh start")
 	fs.DurationVar(&e.PhaseDeadline, "phase-deadline", 0,
 		"flag traced phases exceeding this duration in the manifest's watchdog section; 0 disables")
+}
+
+// RegisterCheckpoint installs -checkpoint and -resume on fs. Only a
+// command that hands Run.Progress's channel to a resumable study may
+// register them.
+func (e *ExecFlags) RegisterCheckpoint(fs *flag.FlagSet) {
+	fs.StringVar(&e.Checkpoint, "checkpoint", "",
+		"save resumable progress of the coverage study to this file")
+	fs.BoolVar(&e.Resume, "resume", false,
+		"load progress from -checkpoint before running; a missing file is a fresh start")
 }
 
 // Validate rejects inconsistent combinations.
@@ -43,8 +52,8 @@ func (e *ExecFlags) Validate() error {
 	return nil
 }
 
-// RegisterExecFlags installs the execution-control flags on the default
-// (command-line) flag set and returns them.
+// RegisterExecFlags installs the shared execution-control flags on the
+// default (command-line) flag set and returns them.
 func RegisterExecFlags() *ExecFlags {
 	e := &ExecFlags{}
 	e.Register(flag.CommandLine)
@@ -59,6 +68,28 @@ const (
 	ExitTimeout   = 124
 	ExitInterrupt = 130
 )
+
+// Progress opens the run's checkpoint channel from -checkpoint and
+// -resume, for a study's ResumeData and OnCheckpoint. With -resume it
+// returns the envelope bytes the file holds; a file that does not exist
+// yet returns none, a fresh start. With -checkpoint it returns a sink
+// that atomically replaces the file with each envelope. The manifest
+// records the run as resumed only when envelope bytes were loaded.
+func (r *Run) Progress(e *ExecFlags) (resume []byte, sink func(envelope []byte) error, err error) {
+	path := e.Checkpoint
+	if e.Resume {
+		if resume, err = checkpoint.ReadFile(path); err != nil {
+			return nil, nil, err
+		}
+		r.mu.Lock()
+		r.resumed = len(resume) > 0
+		r.mu.Unlock()
+	}
+	if path != "" {
+		sink = func(env []byte) error { return checkpoint.WriteFileAtomic(path, env) }
+	}
+	return resume, sink, nil
+}
 
 // Context derives the run's root context from the execution flags and
 // installs graceful-shutdown signal handling: the first SIGINT/SIGTERM

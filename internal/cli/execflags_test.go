@@ -5,44 +5,110 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
 )
 
-func parseExec(t *testing.T, args ...string) *ExecFlags {
+func parseExec(t *testing.T, withCheckpoint bool, args ...string) (*ExecFlags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	e := &ExecFlags{}
 	e.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
+	if withCheckpoint {
+		e.RegisterCheckpoint(fs)
 	}
-	return e
+	return e, fs.Parse(args)
 }
 
 func TestExecFlagsDefaultsAndParse(t *testing.T) {
-	e := parseExec(t)
+	e, err := parseExec(t, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e.Timeout != 0 || e.Checkpoint != "" || e.Resume || e.PhaseDeadline != 0 {
 		t.Errorf("defaults = %+v", e)
 	}
 	if err := e.Validate(); err != nil {
 		t.Errorf("zero flags invalid: %v", err)
 	}
-	e = parseExec(t, "-timeout", "90s", "-checkpoint", "x.ckpt", "-resume", "-phase-deadline", "2m")
+	e, err = parseExec(t, true, "-timeout", "90s", "-checkpoint", "x.ckpt", "-resume", "-phase-deadline", "2m")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e.Timeout != 90*time.Second || e.Checkpoint != "x.ckpt" || !e.Resume || e.PhaseDeadline != 2*time.Minute {
 		t.Errorf("parsed = %+v", e)
 	}
 	if err := e.Validate(); err != nil {
 		t.Errorf("valid combination rejected: %v", err)
 	}
-	bad := parseExec(t, "-resume")
+	// The shared set has no checkpoint flags: a command without a
+	// resumable study rejects them instead of accepting and ignoring them.
+	if _, err := parseExec(t, false, "-timeout", "1s", "-phase-deadline", "1s"); err != nil {
+		t.Errorf("shared flags rejected: %v", err)
+	}
+	for _, arg := range []string{"-checkpoint=x.ckpt", "-resume"} {
+		if _, err := parseExec(t, false, arg); err == nil {
+			t.Errorf("%s accepted without RegisterCheckpoint", arg)
+		}
+	}
+}
+
+// TestExecFlagsResumeNeedsCheckpoint: -resume names no file on its own,
+// so it is rejected without -checkpoint.
+func TestExecFlagsResumeNeedsCheckpoint(t *testing.T) {
+	bad, err := parseExec(t, true, "-resume")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := bad.Validate(); err == nil {
 		t.Error("-resume without -checkpoint validated")
+	}
+}
+
+// TestProgressReadsAndWritesCheckpointFile: the channel Progress opens
+// is the file — the sink writes envelopes there atomically, and -resume
+// hands back exactly those bytes. A file that does not exist yet is a
+// fresh start, and only loaded bytes mark the run resumed.
+func TestProgressReadsAndWritesCheckpointFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig3.ckpt")
+	run := newTestRun(t, ObsFlags{LogFormat: "text"})
+	resume, sink, err := run.Progress(&ExecFlags{Checkpoint: path, Resume: true})
+	if err != nil || resume != nil || sink == nil {
+		t.Fatalf("missing file: resume %q, sink %v, err %v", resume, sink != nil, err)
+	}
+	if run.resumed {
+		t.Error("run marked resumed with no checkpoint file")
+	}
+	env, err := checkpoint.Encode("demo", 1, 2, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink(env); err != nil {
+		t.Fatal(err)
+	}
+	resume, _, err = run.Progress(&ExecFlags{Checkpoint: path, Resume: true})
+	if err != nil || string(resume) != string(env) {
+		t.Fatalf("resume = %q, %v; want the written envelope", resume, err)
+	}
+	if !run.resumed {
+		t.Error("run not marked resumed after loading envelope bytes")
+	}
+	// Without -resume the file is only written, never read.
+	if resume, _, _ := newTestRun(t, ObsFlags{LogFormat: "text"}).Progress(&ExecFlags{Checkpoint: path}); resume != nil {
+		t.Error("Progress without -resume loaded bytes")
+	}
+	// An unwritable checkpoint path surfaces as a sink error.
+	_, sink, _ = run.Progress(&ExecFlags{Checkpoint: filepath.Join(path, "x.ckpt")})
+	if err := sink(env); err == nil {
+		t.Error("sink wrote under a regular file")
 	}
 }
 
@@ -115,13 +181,25 @@ func TestCloseStatusResolution(t *testing.T) {
 func TestCloseWritesInterruptedManifest(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "manifest.json")
+	ckpt := filepath.Join(dir, "fig3.ckpt")
+	env, err := checkpoint.Encode("demo", 1, 2, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFileAtomic(ckpt, env); err != nil {
+		t.Fatal(err)
+	}
 	run := newTestRun(t, ObsFlags{LogFormat: "text", ManifestOut: manifest})
-	_, stop := run.Context(&ExecFlags{
+	exec := &ExecFlags{
 		Timeout:       time.Hour,
-		Checkpoint:    "fig3.ckpt",
+		Checkpoint:    ckpt,
 		Resume:        true,
 		PhaseDeadline: time.Nanosecond,
-	})
+	}
+	_, stop := run.Context(exec)
+	if _, _, err := run.Progress(exec); err != nil {
+		t.Fatal(err)
+	}
 	// Simulate the signal path without racing a real signal: Close after
 	// the handler would have recorded it.
 	run.mu.Lock()
@@ -153,7 +231,7 @@ func TestCloseWritesInterruptedManifest(t *testing.T) {
 	if m.Schema != obs.ManifestSchema || m.Status != obs.StatusInterrupted {
 		t.Errorf("schema %q status %q", m.Schema, m.Status)
 	}
-	if m.Exec == nil || m.Exec.Signal != "interrupt" || m.Exec.Checkpoint != "fig3.ckpt" || !m.Exec.Resumed {
+	if m.Exec == nil || m.Exec.Signal != "interrupt" || m.Exec.Checkpoint != ckpt || !m.Exec.Resumed {
 		t.Errorf("exec section: %+v", m.Exec)
 	}
 	if m.Watchdog == nil || len(m.Watchdog.Overruns) == 0 {

@@ -78,10 +78,11 @@ type Run struct {
 	faults *obs.FaultsSection
 
 	// mu guards the fields the signal-handler goroutine can touch.
-	mu     sync.Mutex
-	exec   ExecFlags
-	status string
-	signal string
+	mu      sync.Mutex
+	exec    ExecFlags
+	resumed bool // Progress loaded checkpoint bytes
+	status  string
+	signal  string
 }
 
 // SetFaults records the run's fault-injection outcome for the manifest's
@@ -162,7 +163,7 @@ func (r *Run) Finish() error {
 			m.Exec = &obs.ExecSection{
 				TimeoutSec: r.exec.Timeout.Seconds(),
 				Checkpoint: r.exec.Checkpoint,
-				Resumed:    r.exec.Resume,
+				Resumed:    r.resumed,
 				Signal:     r.signal,
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -102,26 +101,73 @@ func TestRunAllCtxCanceled(t *testing.T) {
 	}
 }
 
+// TestFigure3CheckpointOptionsThread: Options.OnCheckpoint receives the
+// Figure 3 study's envelopes, and Options.ResumeData resumes from them —
+// a canceled run's envelope finishes to the uninterrupted bytes, and the
+// complete run's final envelope resumes every chunk without recomputing.
 func TestFigure3CheckpointOptionsThread(t *testing.T) {
-	// A canceled figure3 leaves a checkpoint; resuming completes and the
-	// checkpoint file stays loadable by a fresh run with the same options.
 	systems.ResetCalibrationCache()
+	render := func(res Result) string {
+		var b strings.Builder
+		if err := res.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	var last []byte
 	opts := Options{
-		Replicates:     4000,
-		CheckpointPath: filepath.Join(t.TempDir(), "fig3.ckpt"),
-		Resume:         true,
+		Replicates: 4000,
+		OnCheckpoint: func(env []byte) error {
+			last = append([]byte(nil), env...)
+			return nil
+		},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunCtx(ctx, Figure3, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled figure3: err = %v, want context.Canceled", err)
+	ref, err := RunCtx(context.Background(), Figure3, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := RunCtx(context.Background(), Figure3, opts)
+	if len(last) == 0 {
+		t.Fatal("figure3 streamed no checkpoint envelope")
+	}
+	full := last
+
+	resumed := obs.NewCounter("sampling.bootstrap.chunks_resumed")
+	before := resumed.Value()
+	res, err := RunCtx(context.Background(), Figure3, Options{Replicates: 4000, ResumeData: full})
 	if err != nil {
 		t.Fatalf("resumed figure3: %v", err)
 	}
-	if res == nil || res.ID() != Figure3 {
-		t.Fatalf("resumed figure3 returned %v", res)
+	if got := resumed.Value() - before; got != 64 {
+		t.Errorf("resume from the final envelope restored %d chunks, want all 64", got)
+	}
+	if render(res) != render(ref) {
+		t.Error("figure3 resumed from its envelope renders differently")
+	}
+
+	// A run canceled at its first envelope flushes its finished chunks,
+	// and resuming from them reproduces the uninterrupted bytes.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	last = nil
+	canceled := opts
+	canceled.OnCheckpoint = func(env []byte) error {
+		last = append([]byte(nil), env...)
+		cancel()
+		return nil
+	}
+	if _, err := RunCtx(ctx, Figure3, canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled figure3: err = %v, want context.Canceled", err)
+	}
+	before = resumed.Value()
+	res, err = RunCtx(context.Background(), Figure3, Options{Replicates: 4000, ResumeData: last})
+	if err != nil {
+		t.Fatalf("figure3 resumed after cancel: %v", err)
+	}
+	if got := resumed.Value() - before; got < 1 || got >= 64 {
+		t.Errorf("resume after cancel restored %d chunks, want a partial set", got)
+	}
+	if render(res) != render(ref) {
+		t.Error("figure3 resumed after cancel renders differently")
 	}
 }
 

@@ -61,14 +61,12 @@ type Options struct {
 	// experiment takes per configuration (default 200).
 	MeasurementTrials int
 
-	// CheckpointPath, when non-empty, makes the long experiments
-	// (currently the Figure 3 coverage study) save resumable progress
-	// there; see sampling.CoverageConfig.Checkpoint.
-	CheckpointPath string
-	// CheckpointEvery is the save cadence in completed work chunks.
-	CheckpointEvery int
-	// Resume loads existing progress from CheckpointPath before running.
-	Resume bool
+	// ResumeData and OnCheckpoint carry the resumable progress of the
+	// long experiments (currently the Figure 3 coverage study) as
+	// checkpoint envelope bytes; see the sampling.CoverageConfig fields
+	// of the same names. Where the bytes are kept is the caller's choice.
+	ResumeData   []byte
+	OnCheckpoint func(envelope []byte) error
 }
 
 func (o Options) fill() Options {

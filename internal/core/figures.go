@@ -125,15 +125,14 @@ func runFigure3(ctx context.Context, opts Options) (Result, error) {
 		return nil, err
 	}
 	points, err := sampling.CoverageStudyCtx(ctx, sampling.CoverageConfig{
-		Pilot:           pilot,
-		Population:      systems.LRZ.TotalNodes,
-		SampleSizes:     figure3SampleSizes,
-		Levels:          []float64{0.80, 0.95, 0.99},
-		Replicates:      opts.Replicates,
-		Seed:            opts.Seed,
-		Checkpoint:      opts.CheckpointPath,
-		CheckpointEvery: opts.CheckpointEvery,
-		Resume:          opts.Resume,
+		Pilot:        pilot,
+		Population:   systems.LRZ.TotalNodes,
+		SampleSizes:  figure3SampleSizes,
+		Levels:       []float64{0.80, 0.95, 0.99},
+		Replicates:   opts.Replicates,
+		Seed:         opts.Seed,
+		ResumeData:   opts.ResumeData,
+		OnCheckpoint: opts.OnCheckpoint,
 	})
 	if err != nil {
 		return nil, err

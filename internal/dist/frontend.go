@@ -220,12 +220,8 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 	mDegraded.Inc()
 	f.log.Warn("dist: no live worker could serve job; computing locally", "job", key,
 		"live_workers", f.reg.liveCount(), "resume_bytes", len(resume))
-	local := cfg
-	if len(resume) > 0 {
-		local.Resume = true
-		local.ResumeData = resume
-	}
-	points, err := sampling.CoverageStudyCtx(ctx, local)
+	cfg.ResumeData = resume
+	points, err := sampling.CoverageStudyCtx(ctx, cfg)
 	if err != nil {
 		return nil, true, err
 	}

@@ -167,21 +167,21 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 				time.Sleep(w.cfg.ChunkDelay)
 			}
 		}
-		cfg.OnCheckpoint = func(env []byte) {
+		// A frame the connection cannot take is not the study's failure:
+		// a coalesced waiter may still want the result.
+		cfg.OnCheckpoint = func(env []byte) error {
 			writeFrame(Frame{
 				Type:       FrameCheckpoint,
 				Done:       int(lastDone.Load()),
 				Total:      total,
 				Checkpoint: append([]byte(nil), env...),
 			})
+			return nil
 		}
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = w.cfg.CheckpointEvery
 		}
-		if len(job.Resume) > 0 {
-			cfg.Resume = true
-			cfg.ResumeData = job.Resume
-		}
+		cfg.ResumeData = job.Resume
 
 		w.log.Info("dist worker: job start", "job", job.JobID, "replicates", cfg.Replicates, "resume", len(job.Resume) > 0)
 		points, err := sampling.CoverageStudyCtx(ctx, cfg)

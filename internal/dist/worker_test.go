@@ -143,7 +143,10 @@ func TestWorkerResumesFromEnvelope(t *testing.T) {
 	var envs [][]byte
 	ctx, cancel := context.WithCancel(context.Background())
 	first := cfg
-	first.OnCheckpoint = func(env []byte) { envs = append(envs, append([]byte(nil), env...)) }
+	first.OnCheckpoint = func(env []byte) error {
+		envs = append(envs, append([]byte(nil), env...))
+		return nil
+	}
 	first.OnChunk = func(done, total int) {
 		if done == 3 {
 			cancel()

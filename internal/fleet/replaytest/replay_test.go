@@ -7,7 +7,7 @@ import "testing"
 // batch splits with duplicate re-sends, asserting streaming answers
 // match the batch implementations (bit-identical moments and CI and
 // sample-size recommendation, bounded-error quantiles). Run under -race
-// via `make fleet-check`.
+// via `make check`.
 func TestBatchEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		sc := Scenario{Seed: seed}

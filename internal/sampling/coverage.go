@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -70,32 +69,27 @@ type CoverageConfig struct {
 	// paper's small-n under-coverage caveat.
 	UseZ bool
 
-	// Checkpoint, when non-empty, is a file path where completed-chunk
-	// progress is saved so an interrupted study can resume. The file is
-	// stamped with the seed and a fingerprint of every result-shaping
-	// field above; loading it under a different configuration fails.
-	Checkpoint string
-	// CheckpointEvery is the save cadence in completed chunks (default 8
-	// when Checkpoint is set). A final save also runs on cancellation.
+	// CheckpointEvery is the OnCheckpoint cadence in completed chunks
+	// (default 8). A final flush also runs on completion and on
+	// cancellation.
 	CheckpointEvery int
-	// Resume, with Checkpoint or ResumeData set, loads existing progress
-	// before running; only the chunks the checkpoint lacks are executed,
-	// and the final output is bit-identical to an uninterrupted run. A
-	// missing checkpoint file is a fresh start, not an error.
-	Resume bool
-	// ResumeData, with Resume set, is an in-memory checkpoint envelope
-	// (the bytes checkpoint.Encode produced, e.g. a progress frame
-	// streamed from a dying worker) to resume from instead of reading
-	// Checkpoint from disk. It is verified against the study's kind,
-	// seed and fingerprint exactly as a file would be.
+	// ResumeData, when non-empty, is a checkpoint envelope (the bytes an
+	// earlier run's OnCheckpoint received, e.g. read back from a file or
+	// a progress frame streamed from a dying worker) to resume from: only
+	// the chunks it lacks are executed, and the final output is
+	// bit-identical to an uninterrupted run. It is verified against the
+	// study's kind, seed and a fingerprint of every result-shaping field
+	// above; an envelope from a different configuration fails with
+	// checkpoint.ErrMismatch.
 	ResumeData []byte
 	// OnCheckpoint, if set, receives the encoded checkpoint envelope at
-	// every save cadence (including the final flush) — the same bytes
-	// Checkpoint would persist. Workers use it to stream replicate-chunk
-	// progress to a remote supervisor; resuming from the last received
-	// envelope elsewhere is byte-identical to never having died. It runs
-	// under the study's internal lock: keep it fast.
-	OnCheckpoint func(envelope []byte)
+	// every save cadence and at the final flush. It is the study's only
+	// progress sink: the commands persist the bytes to their -checkpoint
+	// file, workers stream them to a remote supervisor. A returned error
+	// fails the study once its chunks are done ("sampling: flushing
+	// checkpoint: ..."). It runs under the study's internal lock: keep it
+	// fast.
+	OnCheckpoint func(envelope []byte) error
 	// OnChunk, if set, is called after each chunk of the current run is
 	// recorded, with the total number of completed chunks (including
 	// resumed ones) and the total chunk count. It runs under the study's
@@ -117,8 +111,6 @@ func (c CoverageConfig) Validate() error {
 		return errors.New("sampling: no confidence levels given")
 	case c.Replicates < 1:
 		return errors.New("sampling: replicates must be positive")
-	case c.Resume && c.Checkpoint == "" && len(c.ResumeData) == 0:
-		return errors.New("sampling: Resume requires a Checkpoint path or ResumeData")
 	}
 	for _, n := range c.SampleSizes {
 		if n < 2 || n > c.Population {
@@ -272,17 +264,10 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 	fp := cfg.Fingerprint()
 
 	results := make([]*chunkResult, len(ranges))
-	if cfg.Resume {
+	if len(cfg.ResumeData) > 0 {
 		var prog coverageProgress
-		var err error
-		if len(cfg.ResumeData) > 0 {
-			err = checkpoint.Decode(cfg.ResumeData, coverageKind, cfg.Seed, fp, &prog)
-		} else {
-			err = checkpoint.Load(cfg.Checkpoint, coverageKind, cfg.Seed, fp, &prog)
-		}
+		err := checkpoint.Decode(cfg.ResumeData, coverageKind, cfg.Seed, fp, &prog)
 		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// Fresh start.
 		case err != nil:
 			return nil, err
 		case prog.Chunks != len(ranges):
@@ -360,33 +345,21 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		}
 		return prog
 	}
-	// save flushes progress under mu: encoded once, then written to the
-	// checkpoint file (atomically and durably — a crash mid-flush leaves
-	// the previous checkpoint intact) and/or handed to the streaming
-	// callback. Both sinks see the same envelope bytes, so a streamed
-	// frame and a file checkpoint of the same progress are
-	// interchangeable.
+	// save flushes progress under mu: the envelope is encoded once and
+	// handed to OnCheckpoint. The first failure is kept and fails the
+	// study after its chunks are done.
 	save := func() {
-		if cfg.Checkpoint == "" && cfg.OnCheckpoint == nil {
+		sinceSave = 0
+		if cfg.OnCheckpoint == nil {
 			return
 		}
 		env, err := checkpoint.Encode(coverageKind, cfg.Seed, fp, snapshot())
-		if err != nil {
-			if saveErr == nil {
-				saveErr = err
-			}
-			sinceSave = 0
-			return
+		if err == nil {
+			err = cfg.OnCheckpoint(env)
 		}
-		if cfg.Checkpoint != "" {
-			if err := checkpoint.WriteFileAtomic(cfg.Checkpoint, env); err != nil && saveErr == nil {
-				saveErr = err
-			}
+		if err != nil && saveErr == nil {
+			saveErr = err
 		}
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(env)
-		}
-		sinceSave = 0
 	}
 
 	// Execute only the chunks the checkpoint did not already cover.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"nodevar/internal/checkpoint"
@@ -120,14 +119,13 @@ func TestCoverageStudyRejectsStaleV1Checkpoint(t *testing.T) {
 	cfg := defaultCoverageConfig()
 	cfg.Replicates = 400
 	cfg.Chunks = 4
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "stale.ckpt")
-	cfg.Resume = true
 	prog := coverageProgress{Chunks: 4}
-	if err := checkpoint.Save(cfg.Checkpoint, "sampling/coverage-study/v1",
-		cfg.Seed, cfg.Fingerprint(), prog); err != nil {
+	env, err := checkpoint.Encode("sampling/coverage-study/v1", cfg.Seed, cfg.Fingerprint(), prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := CoverageStudyCtx(context.Background(), cfg)
+	cfg.ResumeData = env
+	_, err = CoverageStudyCtx(context.Background(), cfg)
 	if !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume from v1 checkpoint: err = %v, want checkpoint.ErrMismatch", err)
 	}

@@ -32,8 +32,9 @@ func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
 		var frames [][]byte
 		ctx, cancel := context.WithCancel(context.Background())
 		first := cfg
-		first.OnCheckpoint = func(env []byte) {
+		first.OnCheckpoint = func(env []byte) error {
 			frames = append(frames, append([]byte(nil), env...))
+			return nil
 		}
 		first.OnChunk = func(done, total int) {
 			if done == 5 {
@@ -49,7 +50,6 @@ func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
 
 		// Second life: resume from the last streamed envelope only.
 		second := cfg
-		second.Resume = true
 		second.ResumeData = frames[len(frames)-1]
 		executed := 0
 		second.OnChunk = func(done, total int) { executed++ }
@@ -76,8 +76,7 @@ func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
 }
 
 // TestCoverageStudyResumeDataRejectsMismatch: a streamed envelope from a
-// different study (wrong seed here) must refuse to resume, exactly as a
-// wrong checkpoint file would.
+// different study (wrong seed here) must refuse to resume.
 func TestCoverageStudyResumeDataRejectsMismatch(t *testing.T) {
 	cfg := defaultCoverageConfig()
 	cfg.Replicates = 800
@@ -87,8 +86,9 @@ func TestCoverageStudyResumeDataRejectsMismatch(t *testing.T) {
 	var frames [][]byte
 	ctx, cancel := context.WithCancel(context.Background())
 	first := cfg
-	first.OnCheckpoint = func(env []byte) {
+	first.OnCheckpoint = func(env []byte) error {
 		frames = append(frames, append([]byte(nil), env...))
+		return nil
 	}
 	first.OnChunk = func(done, total int) {
 		if done == 2 {
@@ -104,7 +104,6 @@ func TestCoverageStudyResumeDataRejectsMismatch(t *testing.T) {
 
 	other := cfg
 	other.Seed = cfg.Seed + 1
-	other.Resume = true
 	other.ResumeData = frames[len(frames)-1]
 	if _, err := CoverageStudyCtx(context.Background(), other); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume with foreign envelope: err = %v, want checkpoint.ErrMismatch", err)

@@ -17,6 +17,8 @@ func FuzzPlanSampleSize(f *testing.F) {
 	f.Add(0.5, 1.0, 1.0, 2)
 	f.Add(-1.0, 0.0, math.NaN(), -5)
 	f.Add(0.95, 1e-300, 1e300, 1)
+	f.Add(2.0/3, 16.0, math.NaN(), 63)            // NaN CV must not validate
+	f.Add(0.9, 0.0004999999999999894, 9601.92, 0) // n ≈ 1e15: t quantile at huge df
 	f.Fuzz(func(t *testing.T, confidence, accuracy, cv float64, population int) {
 		p := Plan{Confidence: confidence, Accuracy: accuracy, CV: cv, Population: population}
 		n, err := p.RequiredSampleSize()

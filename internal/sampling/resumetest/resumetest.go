@@ -17,14 +17,15 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/rng"
 	"nodevar/internal/sampling"
 )
 
 // Scenario is one interrupt/resume experiment.
 type Scenario struct {
-	// Config is the study under test. Its Checkpoint, Resume and OnChunk
-	// fields are managed by the harness and ignored if set.
+	// Config is the study under test. Its ResumeData, OnCheckpoint and
+	// OnChunk fields are managed by the harness and ignored if set.
 	Config sampling.CoverageConfig
 	// Seed drives the harness's own randomness: where each round's
 	// cancellation lands.
@@ -61,13 +62,16 @@ func (o Outcome) Identical() bool {
 	return true
 }
 
-// Run executes the scenario, checkpointing into dir. It returns an error
-// if any run fails for a reason other than the harness's own
-// cancellation, or if the study does not complete within MaxRounds.
+// Run executes the scenario, checkpointing into a file in dir the way
+// the -checkpoint commands do: each round resumes from the bytes
+// checkpoint.ReadFile returns and persists progress with
+// checkpoint.WriteFileAtomic. It returns an error if any run fails for a
+// reason other than the harness's own cancellation, or if the study does
+// not complete within MaxRounds.
 func Run(dir string, sc Scenario) (Outcome, error) {
 	var out Outcome
 	base := sc.Config
-	base.Checkpoint, base.Resume, base.OnChunk = "", false, nil
+	base.ResumeData, base.OnCheckpoint, base.OnChunk = nil, nil, nil
 
 	ref, err := sampling.CoverageStudy(base)
 	if err != nil {
@@ -91,10 +95,14 @@ func Run(dir string, sc Scenario) (Outcome, error) {
 	ckPath := filepath.Join(dir, "coverage.ckpt")
 	for round := 0; round < maxRounds; round++ {
 		out.Rounds++
-		ctx, cancel := context.WithCancel(context.Background())
 		runCfg := base
-		runCfg.Checkpoint = ckPath
-		runCfg.Resume = true
+		if runCfg.ResumeData, err = checkpoint.ReadFile(ckPath); err != nil {
+			return out, fmt.Errorf("resumetest: round %d: %w", round, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		runCfg.OnCheckpoint = func(env []byte) error {
+			return checkpoint.WriteFileAtomic(ckPath, env)
+		}
 		// Cancel after 1..chunks newly completed chunks: at least one, so
 		// every round makes progress; possibly more than remain, in which
 		// case the run completes untouched.

@@ -36,9 +36,9 @@ func (p Plan) Validate() error {
 	switch {
 	case !(p.Confidence > 0 && p.Confidence < 1):
 		return fmt.Errorf("sampling: confidence %v outside (0, 1)", p.Confidence)
-	case p.Accuracy <= 0:
+	case !(p.Accuracy > 0): // NaN fails too
 		return errors.New("sampling: accuracy must be positive")
-	case p.CV <= 0:
+	case !(p.CV > 0):
 		return errors.New("sampling: CV must be positive")
 	case p.Population < 0:
 		return errors.New("sampling: population must be non-negative")

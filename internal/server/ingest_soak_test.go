@@ -14,7 +14,7 @@ import (
 // TestIngestConcurrentSoak hammers one fleet through the real HTTP
 // stack: K writers streaming disjoint node sets with increasing
 // sequence numbers while M readers poll every fleet read endpoint.
-// Under -race (make fleet-check) this is the serving layer's
+// Under -race (make check) this is the serving layer's
 // torn-snapshot and data-race check. Invariants: no 5xx, snapshots
 // internally consistent (mean within [min, max], CI centered on the
 // mean), sample counts monotone per reader, and the final count equals

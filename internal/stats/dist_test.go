@@ -175,6 +175,18 @@ func TestStudentTApproachesNormal(t *testing.T) {
 	if math.Abs(tq-z) > 1e-4 {
 		t.Errorf("t(100000) = %v vs z = %v", tq, z)
 	}
+	// Beyond that the excess over z shrinks as (z³+z)/(4ν) and never
+	// goes negative, up to the sample sizes a sample-size plan can ask
+	// for (the incomplete-beta inversion once returned 3.02 at ν = 1e15).
+	prev := tq
+	for _, df := range []int{100001, 1e6, 1e9, 1e12, 1e15} {
+		got := TQuantile(df, 0.975)
+		lead := (z*z*z + z) / (4 * float64(df))
+		if got < z || got > prev || math.Abs(got-z-lead) > 1e-3*lead+1e-15 {
+			t.Errorf("t(%d) = %.17g, want z + %.3g = %.17g", df, got, lead, z+lead)
+		}
+		prev = got
+	}
 }
 
 func TestStudentTUnderCoverageAt15(t *testing.T) {

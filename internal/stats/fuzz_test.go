@@ -14,6 +14,7 @@ func FuzzRegIncompleteBeta(f *testing.F) {
 	f.Add(2.0, 3.0, 0.25)
 	f.Add(145.5, 0.5, 0.99)
 	f.Add(1e-3, 1e3, 0.01)
+	f.Add(1.0/3, 3.0, 0.25) // x on the reflection threshold
 	f.Fuzz(func(t *testing.T, a, b, x float64) {
 		if !(a > 0) || !(b > 0) || math.IsInf(a, 0) || math.IsInf(b, 0) || a > 1e6 || b > 1e6 {
 			return

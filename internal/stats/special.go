@@ -30,12 +30,18 @@ func RegIncompleteBeta(a, b, x float64) float64 {
 		return 1
 	}
 	// The continued fraction converges fastest for x <= (a+1)/(a+b+2);
-	// above that, use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a). The
-	// inequality is strict so the reflected call (whose argument is then
-	// strictly below its own threshold) can never reflect back.
+	// above that, use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a). Reflect
+	// once only: with x on the threshold, rounding can put both x and 1-x
+	// above their own thresholds (a = 1/3, b = 3, x = 0.25 once recursed
+	// until the stack overflowed).
 	if x > (a+1)/(a+b+2) {
-		return 1 - RegIncompleteBeta(b, a, 1-x)
+		return 1 - betaSeries(b, a, 1-x)
 	}
+	return betaSeries(a, b, x)
+}
+
+// betaSeries is I_x(a, b) by the continued fraction, for x in (0, 1).
+func betaSeries(a, b, x float64) float64 {
 	front := math.Exp(a*math.Log(x)+b*math.Log(1-x)-logBeta(a, b)) / a
 	return front * betaContinuedFraction(a, b, x)
 }

@@ -44,11 +44,6 @@ func NewEntropyScaled(core Workload, entropy, sensitivity float64) (*EntropyScal
 	return &EntropyScaled{Core: core, Entropy: entropy, Sensitivity: sensitivity}, nil
 }
 
-// Name identifies the wrapped workload and its input entropy.
-func (w *EntropyScaled) Name() string {
-	return fmt.Sprintf("%s (entropy %.2f)", w.Core.Name(), w.Entropy)
-}
-
 // CoreDuration returns the wrapped workload's core-phase length: input
 // entropy changes the draw, not the runtime model.
 func (w *EntropyScaled) CoreDuration() float64 { return w.Core.CoreDuration() }

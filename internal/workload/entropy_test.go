@@ -70,7 +70,4 @@ func TestEntropyScaling(t *testing.T) {
 			t.Fatalf("utilization %v at t=%v outside [0, 1]", u, x)
 		}
 	}
-	if mid.Name() == core.Name() {
-		t.Error("entropy modifier name does not distinguish input entropy")
-	}
 }

@@ -50,9 +50,6 @@ func NewImbalancedSkewed(base Workload, nodes int, seed uint64) (*Imbalanced, er
 	return NewImbalanced(base, scales)
 }
 
-// Name returns the base name with a marker.
-func (w *Imbalanced) Name() string { return w.Base.Name() + " (imbalanced)" }
-
 // CoreDuration returns the base duration.
 func (w *Imbalanced) CoreDuration() float64 { return w.Base.CoreDuration() }
 

@@ -42,9 +42,6 @@ func TestImbalancedClamping(t *testing.T) {
 	if got := w.Utilization(50); math.Abs(got-(0.5+1+1)/3) > 1e-12 {
 		t.Errorf("average utilization = %v", got)
 	}
-	if w.Name() != "FIRESTARTER (imbalanced)" {
-		t.Errorf("name = %q", w.Name())
-	}
 	if w.CoreDuration() != 100 {
 		t.Errorf("duration = %v", w.CoreDuration())
 	}

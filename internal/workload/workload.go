@@ -12,10 +12,8 @@ import (
 	"nodevar/internal/hpl"
 )
 
-// Workload is a named utilization profile over a core phase.
+// Workload is a utilization profile over a core phase.
 type Workload interface {
-	// Name identifies the workload.
-	Name() string
 	// CoreDuration returns the core-phase length in seconds.
 	CoreDuration() float64
 	// Utilization returns machine utilization in [0, 1] at core-phase
@@ -36,9 +34,6 @@ func NewHPL(run *hpl.Run) (*HPL, error) {
 	return &HPL{Run: run}, nil
 }
 
-// Name returns "HPL".
-func (w *HPL) Name() string { return "HPL" }
-
 // CoreDuration returns the run's core-phase length.
 func (w *HPL) CoreDuration() float64 { return w.Run.CoreDuration }
 
@@ -48,13 +43,9 @@ func (w *HPL) Utilization(t float64) float64 { return w.Run.UtilizationAt(t) }
 // Constant is a fixed-utilization workload, the shape of processor stress
 // tests.
 type Constant struct {
-	Label    string
 	Duration float64
 	Level    float64
 }
-
-// Name returns the label.
-func (w Constant) Name() string { return w.Label }
 
 // CoreDuration returns the configured duration.
 func (w Constant) CoreDuration() float64 { return w.Duration }
@@ -71,13 +62,13 @@ func (w Constant) Utilization(t float64) float64 {
 // near-worst-case constant full load (Hackenberg et al., IGCC'13), used by
 // TU Dresden in Table 3.
 func Firestarter(duration float64) Constant {
-	return Constant{Label: "FIRESTARTER", Duration: duration, Level: 1}
+	return Constant{Duration: duration, Level: 1}
 }
 
 // MPrime returns the MPrime (Prime95) torture test used by LRZ in
 // Table 3: sustained but slightly below worst-case load.
 func MPrime(duration float64) Constant {
-	return Constant{Label: "MPrime", Duration: duration, Level: 0.94}
+	return Constant{Duration: duration, Level: 0.94}
 }
 
 // Iterative models a solver that alternates compute kernels with
@@ -85,7 +76,6 @@ func MPrime(duration float64) Constant {
 // in Table 3: utilization oscillates between High (kernel) and Low
 // (transfer/reduction) with the given period.
 type Iterative struct {
-	Label     string
 	Duration  float64
 	High, Low float64
 	// Period is the iteration period in seconds; the kernel occupies
@@ -95,7 +85,7 @@ type Iterative struct {
 }
 
 // NewIterative validates and builds an iterative workload.
-func NewIterative(label string, duration, high, low, period, duty float64) (*Iterative, error) {
+func NewIterative(duration, high, low, period, duty float64) (*Iterative, error) {
 	switch {
 	case duration <= 0 || period <= 0:
 		return nil, errors.New("workload: duration and period must be positive")
@@ -104,21 +94,18 @@ func NewIterative(label string, duration, high, low, period, duty float64) (*Ite
 	case duty <= 0 || duty >= 1:
 		return nil, errors.New("workload: duty cycle outside (0, 1)")
 	}
-	return &Iterative{Label: label, Duration: duration, High: high, Low: low, Period: period, DutyCycle: duty}, nil
+	return &Iterative{Duration: duration, High: high, Low: low, Period: period, DutyCycle: duty}, nil
 }
 
 // RodiniaCFD returns a Rodinia-CFD-like GPU workload.
 func RodiniaCFD(duration float64) *Iterative {
-	w, err := NewIterative("Rodinia CFD", duration, 0.96, 0.55, 20, 0.75)
+	w, err := NewIterative(duration, 0.96, 0.55, 20, 0.75)
 	if err != nil {
 		// Unreachable: constants are valid.
 		panic(err)
 	}
 	return w
 }
-
-// Name returns the label.
-func (w *Iterative) Name() string { return w.Label }
 
 // CoreDuration returns the configured duration.
 func (w *Iterative) CoreDuration() float64 { return w.Duration }

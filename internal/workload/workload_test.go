@@ -31,9 +31,6 @@ func TestHPLWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name() != "HPL" {
-		t.Errorf("Name = %q", w.Name())
-	}
 	if w.CoreDuration() != run.CoreDuration {
 		t.Errorf("CoreDuration mismatch")
 	}
@@ -56,7 +53,7 @@ func TestNewHPLRejectsNil(t *testing.T) {
 
 func TestConstantWorkloads(t *testing.T) {
 	fs := Firestarter(3600)
-	if fs.Name() != "FIRESTARTER" || fs.CoreDuration() != 3600 {
+	if fs.CoreDuration() != 3600 {
 		t.Errorf("Firestarter = %+v", fs)
 	}
 	if got := fs.Utilization(1800); got != 1 {
@@ -82,14 +79,14 @@ func TestIterativeValidation(t *testing.T) {
 		{10, 0.9, 0.5, 10, 1},   // duty 1
 	}
 	for i, c := range cases {
-		if _, err := NewIterative("x", c.dur, c.high, c.low, c.period, c.duty); err == nil {
+		if _, err := NewIterative(c.dur, c.high, c.low, c.period, c.duty); err == nil {
 			t.Errorf("bad iterative %d accepted", i)
 		}
 	}
 }
 
 func TestIterativeShape(t *testing.T) {
-	w, err := NewIterative("w", 100, 0.9, 0.5, 10, 0.6)
+	w, err := NewIterative(100, 0.9, 0.5, 10, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
