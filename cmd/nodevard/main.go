@@ -45,10 +45,12 @@ import (
 
 	"nodevar/internal/cli"
 	"nodevar/internal/dist"
-	"nodevar/internal/memo"
 	"nodevar/internal/obs"
 	"nodevar/internal/server"
 )
+
+// runtimeSampleEvery is the background runtime-gauge sampling interval.
+const runtimeSampleEvery = 10 * time.Second
 
 func main() {
 	os.Exit(realMain())
@@ -56,29 +58,18 @@ func main() {
 
 func realMain() int {
 	var (
-		addr          = flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
-		maxConc       = flag.Int("max-concurrent", 64, "in-flight /v1/ request cap; excess requests are shed with 429")
-		reqTimeout    = flag.Duration("request-timeout", 60*time.Second, "per-request budget; 0 disables")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight requests after a shutdown signal")
-		maxReplicates = flag.Int("max-replicates", 200000, "largest /v1/coverage replicate count accepted")
-		maxPopulation = flag.Int("max-population", 1_000_000_000, "sanity cap on the /v1/coverage simulated machine size (the count-based study never materializes it)")
-		maxDistNodes  = flag.Int("max-distortion-nodes", 256, "largest simulated cluster a /v1/distortion meter study may ask for (one power trace per node)")
-		cacheEntries  = flag.Int("cache-entries", memo.DefaultEntries, "completed results kept in memory: coverage/distortion bodies (api role) or jobs replayed to re-dispatches (worker role)")
-		manifestDir   = flag.String("manifest-dir", "", "write one manifest-v3 run record per computed coverage study here")
-		traceRing     = flag.Int("trace-ring", 256, "recent request traces retained for GET /v1/trace/{id}; 0 disables request tracing")
-		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "background runtime gauge sampling interval; 0 samples only on /metrics scrapes")
-		sloObjective  = flag.Float64("slo-objective", 0.99, "per-endpoint SLO success-fraction objective behind the error-budget readiness check")
-		maxFleets     = flag.Int("max-fleets", 64, "live streaming fleets tracked; past the cap the least-recently-ingested fleet is evicted")
-		fleetWindow   = flag.Duration("fleet-window", 5*time.Minute, "rolling-statistics span of each fleet's windowed view")
-		ingestBatch   = flag.Int("ingest-max-batch", 4096, "largest /v1/ingest sample batch accepted")
-		accessLogs    = flag.Bool("access-log", true, "emit one structured log line per API request")
+		addr         = flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
+		maxConc      = flag.Int("max-concurrent", 64, "in-flight /v1/ request cap; excess requests are shed with 429")
+		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-request budget; 0 disables")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight requests after a shutdown signal")
+		manifestDir  = flag.String("manifest-dir", "", "write one manifest-v3 run record per computed coverage study here")
+		traceRing    = flag.Int("trace-ring", 256, "recent request traces retained for GET /v1/trace/{id}; 0 disables request tracing")
+		accessLogs   = flag.Bool("access-log", true, "emit one structured log line per API request")
 
 		role          = flag.String("role", "api", `process role: "api" serves the JSON API, "worker" serves the distributed coverage compute tier`)
 		workers       = flag.String("workers", "", "comma-separated worker base URLs; when set, /v1/coverage studies run on the fleet with checkpointed failover (api role only)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "worker health-probe cadence and initial reconnect backoff (frontend)")
-		distTimeout   = flag.Duration("dist-job-timeout", 0, "per-worker dispatch budget for one coverage job; 0 leaves the request budget as the only bound (frontend)")
 		distCkEvery   = flag.Int("dist-checkpoint-every", 4, "streamed-progress cadence in completed chunks requested of workers (frontend)")
-		workerJobs    = flag.Int("worker-max-jobs", 4, "concurrent coverage studies per worker; excess jobs queue (worker role)")
 		chunkDelay    = flag.Duration("worker-chunk-delay", 0, "sleep after each completed chunk; chaos/scaling harness knob, leave 0 in production (worker role)")
 
 		obsFlags  = cli.RegisterObsFlags()
@@ -96,38 +87,22 @@ func realMain() int {
 	ctx, stop := run.Context(execFlags)
 	defer stop()
 	run.SetConfig("role", *role)
+	stopSampler := obs.StartRuntimeSampler(runtimeSampleEvery)
+	defer stopSampler()
 
 	if *role == "worker" {
-		if *runtimeSample > 0 {
-			stopSampler := obs.StartRuntimeSampler(*runtimeSample)
-			defer stopSampler()
-		}
 		run.SetConfig("addr", *addr)
-		run.SetConfig("worker_max_jobs", *workerJobs)
 		run.SetConfig("worker_chunk_delay", chunkDelay.String())
 		return runWorker(run, ctx, *addr, *drainTimeout, dist.WorkerConfig{
-			MaxConcurrent: *workerJobs,
-			CacheEntries:  *cacheEntries,
-			ChunkDelay:    *chunkDelay,
-			Log:           run.Log,
+			ChunkDelay: *chunkDelay,
+			Log:        run.Log,
 		})
 	}
 
 	run.SetConfig("addr", *addr)
 	run.SetConfig("max_concurrent", *maxConc)
 	run.SetConfig("request_timeout", reqTimeout.String())
-	run.SetConfig("max_replicates", *maxReplicates)
-	run.SetConfig("max_population", *maxPopulation)
 	run.SetConfig("trace_ring", *traceRing)
-	run.SetConfig("slo_objective", *sloObjective)
-	run.SetConfig("max_fleets", *maxFleets)
-	run.SetConfig("fleet_window", fleetWindow.String())
-	run.SetConfig("ingest_max_batch", *ingestBatch)
-
-	if *runtimeSample > 0 {
-		stopSampler := obs.StartRuntimeSampler(*runtimeSample)
-		defer stopSampler()
-	}
 
 	// The server's lifecycle context outlives the signal context: drain
 	// first (in-flight coverage studies finish and get cached), cancel
@@ -135,21 +110,13 @@ func realMain() int {
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
 	cfg := server.Config{
-		MaxConcurrent:      *maxConc,
-		RequestTimeout:     *reqTimeout,
-		MaxReplicates:      *maxReplicates,
-		MaxPopulation:      *maxPopulation,
-		MaxDistortionNodes: *maxDistNodes,
-		CacheEntries:       *cacheEntries,
-		ManifestDir:        *manifestDir,
-		BaseContext:        baseCtx,
-		Log:                run.Log,
-		TraceCapacity:      *traceRing,
-		DisableTracing:     *traceRing <= 0,
-		SLOObjective:       *sloObjective,
-		MaxFleets:          *maxFleets,
-		FleetWindow:        *fleetWindow,
-		IngestMaxBatch:     *ingestBatch,
+		MaxConcurrent:  *maxConc,
+		RequestTimeout: *reqTimeout,
+		ManifestDir:    *manifestDir,
+		BaseContext:    baseCtx,
+		Log:            run.Log,
+		TraceCapacity:  *traceRing,
+		DisableTracing: *traceRing <= 0,
 	}
 	if *accessLogs {
 		// Access logs share the run logger, so -log-format json yields
@@ -164,7 +131,6 @@ func realMain() int {
 		fe, err := dist.NewFrontend(dist.Config{
 			Workers:         fleet,
 			ProbeInterval:   *probeInterval,
-			JobTimeout:      *distTimeout,
 			CheckpointEvery: *distCkEvery,
 			Log:             run.Log,
 		})

@@ -6,6 +6,7 @@ package nodevar_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -384,6 +385,27 @@ func TestCheckpointFlagsTellTheTruth(t *testing.T) {
 	})
 }
 
+// TestNodevardRemovedFlags: the request caps, cache sizes, SLO
+// objective, fleet window and worker job cap are constants, not
+// settings, so nodevard rejects their old flags as unknown (exit 2)
+// before it listens.
+func TestNodevardRemovedFlags(t *testing.T) {
+	nodevard := filepath.Join(buildCmds(t), "nodevard")
+	for _, f := range []string{"-max-replicates", "-max-population", "-max-distortion-nodes",
+		"-cache-entries", "-runtime-sample", "-slo-objective", "-max-fleets", "-fleet-window",
+		"-ingest-max-batch", "-dist-job-timeout", "-worker-max-jobs"} {
+		// A flag that still parsed would start a server; the deadline
+		// turns that into a failure instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, nodevard, "-addr", "127.0.0.1:0", f+"=1").CombinedOutput()
+		cancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: "+f) {
+			t.Errorf("nodevard %s=1: err %v\n%s", f, err, out)
+		}
+	}
+}
+
 // TestNodevardIngestServe drives the streaming fleet subsystem end to
 // end through a real nodevard process: a seeded 100-node stream is
 // POSTed to /v1/ingest in batches (one re-sent verbatim to prove
@@ -394,8 +416,7 @@ func TestNodevardIngestServe(t *testing.T) {
 	dir := buildCmds(t)
 
 	cmd := exec.Command(filepath.Join(dir, "nodevard"),
-		"-addr", "127.0.0.1:0", "-drain-timeout", "30s",
-		"-max-fleets", "8", "-fleet-window", "1m", "-ingest-max-batch", "64")
+		"-addr", "127.0.0.1:0", "-drain-timeout", "30s")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -49,25 +49,12 @@ func (e *RejectedError) Error() string {
 type Config struct {
 	// Workers are the worker base URLs (e.g. "http://10.0.0.7:9090").
 	Workers []string
-	// Vnodes is the consistent-hash points per worker. Default 64.
-	Vnodes int
 	// ProbeInterval is the health-probe cadence for live workers and the
 	// initial reconnect backoff for down ones (the backoff doubles per
-	// failed probe up to ProbeBackoffMax, with ±25% jitter). Default 1s.
+	// failed probe up to 15s, with ±25% jitter). Default 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe. Default 500ms.
 	ProbeTimeout time.Duration
-	// ProbeBackoffMax caps the reconnect backoff. Default 15s.
-	ProbeBackoffMax time.Duration
-	// JobTimeout bounds one dispatch attempt to one worker, including
-	// its whole response stream. A study that outlives it on a healthy
-	// worker is failed over with its streamed progress, so the work is
-	// not lost. <= 0 means the caller's context is the only bound.
-	// Default 0.
-	JobTimeout time.Duration
-	// MaxAttempts caps how many distinct workers one job tries before
-	// degrading to local compute. Default: every configured worker.
-	MaxAttempts int
 	// CheckpointEvery is the progress-stream cadence (in completed
 	// chunks) requested of workers. Lower is finer-grained failover at
 	// slightly more stream traffic. Default 4.
@@ -94,7 +81,7 @@ type Frontend struct {
 	log *slog.Logger
 	reg *registry
 	// jobs is the streaming client (no global timeout: streams are
-	// bounded per-attempt by JobTimeout / the caller's context).
+	// bounded by the caller's context).
 	jobs *http.Client
 }
 
@@ -103,23 +90,14 @@ func NewFrontend(cfg Config) (*Frontend, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("dist: no workers configured")
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = 64
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 500 * time.Millisecond
 	}
-	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = 15 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Workers)
-	}
 	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 4
+		cfg.CheckpointEvery = defaultCheckpointEvery
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -135,7 +113,7 @@ func NewFrontend(cfg Config) (*Frontend, error) {
 		cfg:  cfg,
 		log:  cfg.Log,
 		jobs: &http.Client{Transport: cfg.Transport},
-		reg:  newRegistry(cfg.Workers, cfg.Vnodes, probeClient, cfg.ProbeInterval, cfg.ProbeBackoffMax, cfg.Seed, cfg.Log),
+		reg:  newRegistry(cfg.Workers, probeClient, cfg.ProbeInterval, cfg.Seed, cfg.Log),
 	}
 	return f, nil
 }
@@ -156,9 +134,9 @@ func (f *Frontend) LiveWorkers() int { return f.reg.liveCount() }
 //
 // The journey of one job: hash its identity onto the ring, dispatch to
 // the first live worker in preference order, collect streamed
-// checkpoint frames; on any transport failure or timeout, mark the
-// worker down and re-dispatch to the next live worker with the last
-// streamed envelope as resume state (bounded by MaxAttempts); when no
+// checkpoint frames; on any transport failure, mark the worker down and
+// re-dispatch to the next live worker with the last streamed envelope
+// as resume state (each worker is tried at most once); when no
 // live workers remain, run the study in-process — resuming from
 // whatever progress the fleet managed to stream before dying.
 func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([]sampling.CoveragePoint, bool, error) {
@@ -175,9 +153,6 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 	var resume []byte
 	attempts := 0
 	for _, addr := range f.reg.sequence(key) {
-		if attempts >= f.cfg.MaxAttempts {
-			break
-		}
 		if !f.reg.live(addr) {
 			continue
 		}
@@ -233,11 +208,6 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 // envelope received before the failure so the caller can resume the
 // study elsewhere.
 func (f *Frontend) dispatch(ctx context.Context, addr string, cfg sampling.CoverageConfig, resume []byte) (points []sampling.CoveragePoint, cached bool, lastCk []byte, err error) {
-	if f.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.JobTimeout)
-		defer cancel()
-	}
 	job := NewJobRequest(cfg, f.cfg.CheckpointEvery, resume)
 	body, err := json.Marshal(job)
 	if err != nil {

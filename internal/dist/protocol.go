@@ -25,6 +25,11 @@ const (
 // anything larger is hostile or confused.
 const maxJobBytes = 16 << 20
 
+// defaultCheckpointEvery is the streamed-progress cadence in completed
+// chunks: what a Frontend requests unless configured otherwise, and
+// what a worker uses for a job envelope that names none.
+const defaultCheckpointEvery = 4
+
 // Decoder guards mirroring the serving layer's request-size bounds:
 // these are the axes that buy CPU or memory on a worker, so a job
 // exceeding them is rejected before any work starts.

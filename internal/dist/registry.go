@@ -23,6 +23,13 @@ var (
 	mMarkedDown   = obs.NewCounter("dist.workers_marked_down")
 )
 
+const (
+	// ringVnodes is the consistent-hash points per worker.
+	ringVnodes = 64
+	// probeBackoffMax caps a down worker's reconnect backoff.
+	probeBackoffMax = 15 * time.Second
+)
+
 // workerState tracks one worker's health. Everything behind mu.
 type workerState struct {
 	addr string
@@ -44,7 +51,6 @@ type registry struct {
 
 	client       *http.Client
 	probeEvery   time.Duration
-	backoffMax   time.Duration
 	log          *slog.Logger
 	onTransition func(addr string, live bool) // test hook; may be nil
 
@@ -52,13 +58,12 @@ type registry struct {
 	jitter *rng.Rand
 }
 
-func newRegistry(addrs []string, vnodes int, client *http.Client, probeEvery, backoffMax time.Duration, seed uint64, log *slog.Logger) *registry {
+func newRegistry(addrs []string, client *http.Client, probeEvery time.Duration, seed uint64, log *slog.Logger) *registry {
 	r := &registry{
-		ring:       newHashRing(addrs, vnodes),
+		ring:       newHashRing(addrs, ringVnodes),
 		workers:    map[string]*workerState{},
 		client:     client,
 		probeEvery: probeEvery,
-		backoffMax: backoffMax,
 		log:        log,
 		jitter:     rng.New(seed ^ 0x9e3779b97f4a7c15),
 	}
@@ -162,9 +167,9 @@ func (r *registry) withJitter(d time.Duration) time.Duration {
 
 // start runs the health-probe loop until ctx is done. Live workers are
 // probed every probeEvery; down workers are probed on their exponential
-// backoff schedule (probeEvery doubling up to backoffMax, jittered), so
-// a flapping worker neither storms the frontend with reconnects nor
-// stays forgotten.
+// backoff schedule (probeEvery doubling up to probeBackoffMax,
+// jittered), so a flapping worker neither storms the frontend with
+// reconnects nor stays forgotten.
 func (r *registry) start(ctx context.Context) {
 	tick := r.probeEvery / 4
 	if tick < 10*time.Millisecond {
@@ -204,8 +209,8 @@ func (r *registry) start(ctx context.Context) {
 			w.failures++
 			if !w.live {
 				w.backoff *= 2
-				if w.backoff > r.backoffMax {
-					w.backoff = r.backoffMax
+				if w.backoff > probeBackoffMax {
+					w.backoff = probeBackoffMax
 				}
 				w.nextProbe = now.Add(r.withJitter(w.backoff))
 			}

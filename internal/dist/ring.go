@@ -47,9 +47,6 @@ func mix64(x uint64) uint64 {
 // newHashRing builds a ring with vnodes points per worker. Addresses
 // are deduplicated; order of the input does not matter.
 func newHashRing(addrs []string, vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	seen := map[string]bool{}
 	r := &hashRing{}
 	for _, a := range addrs {

@@ -28,20 +28,15 @@ var (
 	gWorkerActive    = obs.NewGauge("dist.worker.active_jobs")
 )
 
+// maxWorkerJobs caps coverage studies computing at once on one worker;
+// excess jobs queue (the connection waits) rather than shed, because the
+// frontend has already committed the study to this worker. Each study
+// already fans out over GOMAXPROCS, so more studies at once would
+// only share the same cores.
+const maxWorkerJobs = 4
+
 // WorkerConfig parameterizes a Worker. The zero value is usable.
 type WorkerConfig struct {
-	// MaxConcurrent caps coverage studies computing at once; excess jobs
-	// queue (the connection waits) rather than shed, because the
-	// frontend has already committed this study to this worker. Default
-	// 4.
-	MaxConcurrent int
-	// CacheEntries caps the idempotent completed-job cache (FIFO
-	// eviction). A re-dispatched JobID found here replays the cached
-	// points without recompute. Default memo.DefaultEntries.
-	CacheEntries int
-	// CheckpointEvery is the streamed-progress cadence in completed
-	// chunks when the job envelope does not set one. Default 4.
-	CheckpointEvery int
 	// ChunkDelay, when positive, sleeps this long after every completed
 	// chunk. It exists for chaos and scaling harnesses that need
 	// studies with predictable wall-clock length regardless of CPU;
@@ -65,20 +60,14 @@ type Worker struct {
 
 // NewWorker builds a Worker, applying defaults.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 4
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 4
-	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Worker{
 		cfg:   cfg,
 		log:   cfg.Log,
-		sem:   make(chan struct{}, cfg.MaxConcurrent),
-		cache: memo.New[string, []Point](cfg.CacheEntries, memo.Counters{Hits: mWorkerCacheHits, Coalesced: mWorkerJoined}),
+		sem:   make(chan struct{}, maxWorkerJobs),
+		cache: memo.New[string, []Point](memo.DefaultEntries, memo.Counters{Hits: mWorkerCacheHits, Coalesced: mWorkerJoined}),
 	}
 }
 
@@ -179,7 +168,7 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = w.cfg.CheckpointEvery
+			cfg.CheckpointEvery = defaultCheckpointEvery
 		}
 		cfg.ResumeData = job.Resume
 

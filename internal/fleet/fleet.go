@@ -39,9 +39,12 @@ const (
 	DefaultWindow        = 5 * time.Minute
 	DefaultWindowBuckets = 30
 	DefaultMaxNodes      = 65536
-	DefaultSketchAlpha   = 0.005
 	maxNameLen           = 128
 )
+
+// SketchAlpha is the relative accuracy of every fleet's quantile
+// sketches.
+const SketchAlpha = 0.005
 
 // ErrFleetFull is returned when a batch would push a fleet past its
 // distinct-node capacity.
@@ -69,11 +72,6 @@ type Config struct {
 	WindowBuckets int
 	// MaxNodes caps distinct nodes per fleet. Default 65536.
 	MaxNodes int
-	// SketchAlpha is the quantile sketch's relative accuracy. Default
-	// 0.005.
-	SketchAlpha float64
-	// SketchBins caps sketch buckets. Default stats.DefaultSketchBins.
-	SketchBins int
 	// Now supplies the clock; tests inject deterministic time. Default
 	// time.Now.
 	Now func() time.Time
@@ -88,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = DefaultMaxNodes
-	}
-	if c.SketchAlpha <= 0 {
-		c.SketchAlpha = DefaultSketchAlpha
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -190,7 +185,7 @@ func newFleet(id string, cfg Config) *Fleet {
 		id:        id,
 		cfg:       cfg,
 		nodes:     make(map[string]*nodeState),
-		sketch:    stats.NewQuantileSketch(cfg.SketchAlpha, cfg.SketchBins),
+		sketch:    stats.NewQuantileSketch(SketchAlpha, stats.DefaultSketchBins),
 		buckets:   make([]winBucket, cfg.WindowBuckets),
 		bucketDur: cfg.Window / time.Duration(cfg.WindowBuckets),
 	}
@@ -244,7 +239,7 @@ func (f *Fleet) ingest(samples []Sample, now time.Time) (IngestResult, error) {
 	if b.epoch != epoch {
 		b.epoch = epoch
 		b.mom = stats.StreamMoments{}
-		b.sketch = stats.NewQuantileSketch(f.cfg.SketchAlpha, f.cfg.SketchBins)
+		b.sketch = stats.NewQuantileSketch(SketchAlpha, stats.DefaultSketchBins)
 	}
 
 	for _, s := range samples {
@@ -357,7 +352,7 @@ func (f *Fleet) windowLocked(now time.Time, confidence float64) *WindowStats {
 	curEpoch := now.UnixNano() / int64(f.bucketDur)
 	oldest := curEpoch - int64(len(f.buckets)) + 1
 	var mom stats.StreamMoments
-	sketch := stats.NewQuantileSketch(f.cfg.SketchAlpha, f.cfg.SketchBins)
+	sketch := stats.NewQuantileSketch(SketchAlpha, stats.DefaultSketchBins)
 	for i := range f.buckets {
 		b := &f.buckets[i]
 		if b.epoch >= oldest && b.epoch <= curEpoch && b.mom.N() > 0 {

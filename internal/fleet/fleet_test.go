@@ -166,7 +166,7 @@ func TestSnapshotMatchesBatchStats(t *testing.T) {
 	for name, q := range snapshotQuantiles {
 		est := st.Quantiles[name]
 		ref := stats.Quantile(values, q)
-		if rel := math.Abs(est-ref) / ref; rel > 2*DefaultSketchAlpha {
+		if rel := math.Abs(est-ref) / ref; rel > 2*SketchAlpha {
 			t.Fatalf("%s estimate %g vs batch %g (rel %g)", name, est, ref, rel)
 		}
 	}

@@ -283,9 +283,9 @@ func Run(sc Scenario) (Outcome, error) {
 			return Outcome{}, fmt.Errorf("snapshot missing quantile %v", q)
 		}
 		rel := math.Abs(got-want) / want
-		if rel > 2*fleet.DefaultSketchAlpha {
+		if rel > 2*fleet.SketchAlpha {
 			return Outcome{}, fmt.Errorf("q=%v: sketch %v vs batch %v (rel %g > %g)",
-				q, got, want, rel, 2*fleet.DefaultSketchAlpha)
+				q, got, want, rel, 2*fleet.SketchAlpha)
 		}
 		if rel > out.MaxQuantileRelErr {
 			out.MaxQuantileRelErr = rel

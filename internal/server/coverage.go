@@ -15,17 +15,22 @@ import (
 	"nodevar/internal/systems"
 )
 
-// Request-size guards: a coverage study's cost is
+// Request-size guards, checked before any work starts. They are fixed,
+// not operator settings, so every request's worst-case cost is a
+// property of the code. A coverage study's cost is
 // replicates × (pilot + largest sample size) in CPU — the count-based
-// replicate loop never materializes the population — so the axes that
-// still buy work (pilot size, sample sizes, levels) are bounded before
-// any work starts. Replicates are additionally bounded by the
-// operator-configurable Config.MaxReplicates; Config.MaxPopulation
-// survives only as a sanity bound on nonsensical requests.
+// replicate loop never materializes the population — so maxPopulation
+// is only a sanity bound on nonsensical requests. A distortion study
+// materializes one power trace per node, so maxDistortionNodes bounds
+// real memory and CPU.
 const (
-	maxPilotData   = 65536
-	maxSampleSizes = 32
-	maxLevels      = 16
+	maxReplicates      = 200000 // the paper's scale
+	maxPopulation      = 1_000_000_000
+	maxPilotData       = 65536
+	maxSampleSizes     = 32
+	maxLevels          = 16
+	maxDistortionNodes = 256
+	ingestMaxBatch     = 4096 // samples per /v1/ingest batch
 )
 
 // coverageConfig resolves a request into a runnable study config and
@@ -47,10 +52,10 @@ func (s *Server) coverageConfig(req CoverageRequest) (sampling.CoverageConfig, C
 		req.Levels = []float64{0.80, 0.95, 0.99}
 	}
 	switch {
-	case req.Replicates < 0 || req.Replicates > s.cfg.MaxReplicates:
-		return sampling.CoverageConfig{}, req, fmt.Errorf("replicates outside [1, %d]", s.cfg.MaxReplicates)
-	case req.Population < 0 || req.Population > s.cfg.MaxPopulation:
-		return sampling.CoverageConfig{}, req, fmt.Errorf("population outside [2, %d]", s.cfg.MaxPopulation)
+	case req.Replicates < 0 || req.Replicates > maxReplicates:
+		return sampling.CoverageConfig{}, req, fmt.Errorf("replicates outside [1, %d]", maxReplicates)
+	case req.Population < 0 || req.Population > maxPopulation:
+		return sampling.CoverageConfig{}, req, fmt.Errorf("population outside [2, %d]", maxPopulation)
 	case req.PilotSize < 0:
 		return sampling.CoverageConfig{}, req, fmt.Errorf("pilot_size must be positive, got %d", req.PilotSize)
 	case len(req.SampleSizes) > maxSampleSizes:
@@ -97,10 +102,10 @@ func (s *Server) coverageConfig(req CoverageRequest) (sampling.CoverageConfig, C
 			req.Population = spec.TotalNodes
 		}
 		// Preset populations resolve after the guard switch, so re-check
-		// the operator cap against the resolved value.
-		if req.Population > s.cfg.MaxPopulation {
+		// the cap against the resolved value.
+		if req.Population > maxPopulation {
 			return sampling.CoverageConfig{}, req,
-				fmt.Errorf("population outside [2, %d]", s.cfg.MaxPopulation)
+				fmt.Errorf("population outside [2, %d]", maxPopulation)
 		}
 	}
 

@@ -143,15 +143,15 @@ type FleetOutliersResponse struct {
 }
 
 // validateIngest turns a decoded request into a fleet batch, enforcing
-// the operator's batch cap on top of fleet-level validation. This is the
+// the ingestMaxBatch cap on top of fleet-level validation. This is the
 // single choke point the ingest fuzz target drives: any request it
 // accepts must be safe to apply.
-func validateIngest(req *IngestRequest, maxBatch int) ([]fleet.Sample, error) {
+func validateIngest(req *IngestRequest) ([]fleet.Sample, error) {
 	if err := fleet.ValidName(req.Fleet); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if len(req.Samples) > maxBatch {
-		return nil, fmt.Errorf("batch of %d exceeds the %d-sample limit", len(req.Samples), maxBatch)
+	if len(req.Samples) > ingestMaxBatch {
+		return nil, fmt.Errorf("batch of %d exceeds the %d-sample limit", len(req.Samples), ingestMaxBatch)
 	}
 	samples := make([]fleet.Sample, len(req.Samples))
 	for i, s := range req.Samples {
@@ -171,7 +171,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadJSON, err.Error())
 		return
 	}
-	samples, err := validateIngest(&req, s.cfg.IngestMaxBatch)
+	samples, err := validateIngest(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return

@@ -43,7 +43,7 @@ func FuzzIngestDecode(f *testing.F) {
 		if err := decodeJSON(r, &req); err != nil {
 			return // rejected at the JSON layer: 400 bad_json, no state
 		}
-		samples, err := validateIngest(&req, 4096)
+		samples, err := validateIngest(&req)
 		if err != nil {
 			return // rejected at the validation layer: 400, no state
 		}

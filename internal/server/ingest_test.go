@@ -116,7 +116,7 @@ func TestFleetSampleSizeMatchesTwoPhase(t *testing.T) {
 }
 
 func TestFleetEndpointsErrorPaths(t *testing.T) {
-	_, ts := newTestServer(t, Config{IngestMaxBatch: 4})
+	_, ts := newTestServer(t, Config{})
 
 	cases := []struct {
 		name   string
@@ -132,7 +132,7 @@ func TestFleetEndpointsErrorPaths(t *testing.T) {
 		{"negative watts", `{"fleet":"f","samples":[{"node":"n","seq":1,"watts":-4}]}`, http.StatusBadRequest, codeBadRequest},
 		{"zero seq", `{"fleet":"f","samples":[{"node":"n","seq":0,"watts":400}]}`, http.StatusBadRequest, codeBadRequest},
 		{"duplicate node", `{"fleet":"f","samples":[{"node":"n","seq":1,"watts":400},{"node":"n","seq":2,"watts":401}]}`, http.StatusBadRequest, codeBadRequest},
-		{"batch too large", `{"fleet":"f","samples":[{"node":"a","seq":1,"watts":1},{"node":"b","seq":1,"watts":1},{"node":"c","seq":1,"watts":1},{"node":"d","seq":1,"watts":1},{"node":"e","seq":1,"watts":1}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch too large", ingestBody("f", ingestMaxBatch+1), http.StatusBadRequest, codeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, b := postJSON(t, ts.URL+"/v1/ingest", tc.body)

@@ -118,8 +118,8 @@ func (s *Server) distortionConfig(req DistortionRequest) (DistortionRequest, err
 		return req, err
 	}
 	switch {
-	case req.Nodes < 2 || req.Nodes > s.cfg.MaxDistortionNodes:
-		return req, fmt.Errorf("nodes outside [2, %d]", s.cfg.MaxDistortionNodes)
+	case req.Nodes < 2 || req.Nodes > maxDistortionNodes:
+		return req, fmt.Errorf("nodes outside [2, %d]", maxDistortionNodes)
 	case req.PilotSize < 2 || req.PilotSize > req.Nodes:
 		return req, fmt.Errorf("pilot_size outside [2, nodes=%d]", req.Nodes)
 	case !(*req.Entropy >= 0 && *req.Entropy <= 1):

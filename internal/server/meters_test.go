@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 )
@@ -126,12 +127,12 @@ func TestDistortionEntropyShiftsPower(t *testing.T) {
 }
 
 func TestDistortionValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxDistortionNodes: 32})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, body, code string
 	}{
 		{"unknown system", `{"system":"nope"}`, codeInvalidPlan},
-		{"nodes over cap", `{"nodes":64}`, codeInvalidPlan},
+		{"nodes over cap", fmt.Sprintf(`{"nodes":%d}`, maxDistortionNodes+1), codeInvalidPlan},
 		{"one node", `{"nodes":1}`, codeInvalidPlan},
 		{"pilot exceeds nodes", `{"nodes":8,"pilot_size":9}`, codeInvalidPlan},
 		{"entropy out of range", `{"entropy":1.5}`, codeInvalidPlan},

@@ -62,7 +62,7 @@ func (s *Server) newEndpointObs(name string) *endpointObs {
 	ep := &endpointObs{
 		name: name,
 		reqs: obs.NewCounter("server.requests." + name),
-		slo:  obs.NewSLO(name, sloTarget(name), s.cfg.SLOObjective),
+		slo:  obs.NewSLO(name, sloTarget(name), sloObjective),
 	}
 	for i, class := range statusClasses {
 		ep.byClass[i] = vEndpointReqs.With(name, class)

@@ -73,26 +73,6 @@ type Config struct {
 	// coverage flight, cancels the underlying study at its next chunk
 	// boundary. Default 60s; <= 0 means no per-request deadline.
 	RequestTimeout time.Duration
-	// MaxReplicates rejects /v1/coverage requests asking for more
-	// bootstrap replicates than the operator allows. Default 200000 (the
-	// paper's scale).
-	MaxReplicates int
-	// MaxPopulation rejects /v1/coverage requests asking to simulate a
-	// machine larger than the operator allows. Since the count-based
-	// replicate loop, population no longer buys memory or meaningful CPU
-	// (per-replicate cost is O(pilot + max sample size) with no
-	// population-sized buffers), so this is a cheap sanity bound on
-	// nonsensical requests, not an OOM defense. Default 1e9.
-	MaxPopulation int
-	// MaxDistortionNodes rejects /v1/distortion requests asking to
-	// simulate more cluster nodes than the operator allows. Unlike
-	// coverage's population, a distortion study materializes one power
-	// trace per node, so this cap bounds real memory and CPU. Default
-	// 256.
-	MaxDistortionNodes int
-	// CacheEntries caps the completed-result cache; the oldest entry is
-	// evicted first. Default 128.
-	CacheEntries int
 	// ManifestDir, when non-empty, receives one manifest-v3 run record
 	// per coverage computation (cache misses only — hits are served from
 	// memory and inherit the original record), named by the study's
@@ -117,18 +97,6 @@ type Config struct {
 	// DisableTracing turns request-scoped tracing off entirely: no trace
 	// buffers, no X-Trace-Id headers, and GET /v1/trace/{id} answers 404.
 	DisableTracing bool
-	// SLOObjective is the per-endpoint success-fraction objective behind
-	// the error-budget readiness check. Default 0.99.
-	SLOObjective float64
-	// MaxFleets caps how many named streaming fleets the server tracks;
-	// past the cap, the least-recently-ingested fleet is evicted. Default
-	// fleet.DefaultMaxFleets (64).
-	MaxFleets int
-	// FleetWindow is the rolling-statistics span of each fleet's windowed
-	// view. Default fleet.DefaultWindow (5m).
-	FleetWindow time.Duration
-	// IngestMaxBatch caps samples per /v1/ingest batch. Default 4096.
-	IngestMaxBatch int
 	// Dist, when non-nil, routes coverage studies onto a worker fleet
 	// instead of computing them in-process: the frontend consistent-hashes
 	// each study's (seed, fingerprint) identity onto the fleet, streams
@@ -138,6 +106,10 @@ type Config struct {
 	// carry CoverageResponse.Degraded and are never cached.
 	Dist *dist.Frontend
 }
+
+// sloObjective is every endpoint's success-fraction objective behind the
+// error-budget readiness check.
+const sloObjective = 0.99
 
 // defaultSLOTargets are the per-endpoint latency targets in seconds; a
 // request slower than its endpoint's target burns error budget even
@@ -230,32 +202,11 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 60 * time.Second
 	}
-	if cfg.MaxReplicates <= 0 {
-		cfg.MaxReplicates = 200000
-	}
-	if cfg.MaxPopulation <= 0 {
-		cfg.MaxPopulation = 1_000_000_000
-	}
-	if cfg.MaxDistortionNodes <= 0 {
-		cfg.MaxDistortionNodes = 256
-	}
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if !(cfg.SLOObjective > 0 && cfg.SLOObjective < 1) {
-		cfg.SLOObjective = 0.99
-	}
-	if cfg.MaxFleets <= 0 {
-		cfg.MaxFleets = fleet.DefaultMaxFleets
-	}
-	if cfg.FleetWindow <= 0 {
-		cfg.FleetWindow = fleet.DefaultWindow
-	}
-	if cfg.IngestMaxBatch <= 0 {
-		cfg.IngestMaxBatch = 4096
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -263,11 +214,11 @@ func New(cfg Config) *Server {
 		access:    cfg.AccessLog,
 		base:      cfg.BaseContext,
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
-		cache:     memo.New[string, []byte](cfg.CacheEntries, cacheCounters),
+		cache:     memo.New[string, []byte](memo.DefaultEntries, cacheCounters),
 		dist:      cfg.Dist,
 		endpoints: map[string]*endpointObs{},
 	}
-	s.fleets = fleet.NewRegistry(cfg.MaxFleets, fleet.Config{Window: cfg.FleetWindow})
+	s.fleets = fleet.NewRegistry(fleet.DefaultMaxFleets, fleet.Config{})
 	if !cfg.DisableTracing {
 		s.traces = obs.NewTraceStore(cfg.TraceCapacity, 0)
 	}

@@ -18,55 +18,24 @@ import (
 // ErrEmpty is returned by functions that cannot operate on empty data.
 var ErrEmpty = errors.New("stats: empty data")
 
-// Sum returns the sum of xs using Kahan compensated summation, which keeps
-// accumulated rounding error bounded independently of len(xs).
-func Sum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		y := x - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
+// accumulate runs one Welford pass over xs.
+func accumulate(xs []float64) *Accumulator {
+	var acc Accumulator
+	acc.AddSlice(xs)
+	return &acc
 }
 
 // Mean returns the arithmetic mean of xs. It panics if xs is empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	return Sum(xs) / float64(len(xs))
-}
+func Mean(xs []float64) float64 { return accumulate(xs).Mean() }
 
-// Variance returns the unbiased sample variance (divisor n-1) of xs.
-// It panics if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		panic("stats: Variance needs at least 2 observations")
-	}
-	mean := Mean(xs)
-	var ss, comp float64
-	for _, x := range xs {
-		d := x - mean
-		y := d*d - comp
-		t := ss + y
-		comp = (t - ss) - y
-		ss = t
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation (divisor n-1) of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
+// StdDev returns the sample standard deviation (divisor n-1) of xs. It
+// panics if len(xs) < 2.
+func StdDev(xs []float64) float64 { return accumulate(xs).StdDev() }
 
 // MeanStdDev returns the sample mean and sample standard deviation in one
 // pass over the data.
 func MeanStdDev(xs []float64) (mean, sd float64) {
-	var acc Accumulator
-	acc.AddSlice(xs)
+	acc := accumulate(xs)
 	return acc.Mean(), acc.StdDev()
 }
 
@@ -142,11 +111,7 @@ func quantileSorted(sorted []float64, p float64) float64 {
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness
 // (the g1 estimator with bias correction). It panics if len(xs) < 3.
-func Skewness(xs []float64) float64 {
-	var acc Accumulator
-	acc.AddSlice(xs)
-	return acc.Skewness()
-}
+func Skewness(xs []float64) float64 { return accumulate(xs).Skewness() }
 
 // Summary captures the descriptive statistics reported throughout the
 // paper for a per-node power dataset.

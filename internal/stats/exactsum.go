@@ -128,6 +128,19 @@ func (s *ExactSum) Value() float64 {
 	return v
 }
 
+// valueDD renders the exact sum as hi + lo: hi is Value and lo the
+// rendering of the exact remainder, so the pair carries ~106 significant
+// bits. A sum past the float64 range renders as (±Inf, 0).
+func (s *ExactSum) valueDD() (hi, lo float64) {
+	hi = s.Value()
+	if math.IsInf(hi, 0) {
+		return hi, 0
+	}
+	r := *s
+	r.Add(-hi)
+	return hi, r.Value()
+}
+
 // addShifted adds the 128-bit quantity hi:lo, shifted left by offset bits,
 // into l with carry propagation.
 func addShifted(l *[exactLimbs]uint64, hi, lo uint64, offset int) {

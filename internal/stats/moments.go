@@ -10,11 +10,8 @@ import "math"
 // accumulators are built independently and combined later: the fleet
 // rolling-window buckets and sharded ingestion.
 //
-// Mean and Variance each perform a fixed, deterministic number of
-// float64 roundings on exactly-rendered sums, so their accuracy is
-// within a few ulps of the true value for well-conditioned data (the
-// paper's power measurements have CV ≈ 0.02, far from the cancellation
-// regime) and their bits never depend on merge topology.
+// Mean and Variance are pure functions of the exact sums, so their bits
+// never depend on merge topology.
 //
 // The zero value is an empty accumulator ready for use. Methods are not
 // safe for concurrent use.
@@ -52,16 +49,23 @@ func (m *StreamMoments) Mean() float64 {
 	return m.sum.Value() / float64(m.n)
 }
 
-// Variance returns the unbiased sample variance (divisor n-1), computed
-// as (Σx² − n·μ²)/(n−1) from the exact sums and clamped at 0 so rounding
-// can never produce a negative variance. It panics if fewer than two
-// observations have been added.
+// Variance returns the unbiased sample variance (divisor n-1),
+// (n·Σx² − (Σx)²)/(n·(n−1)), clamped at 0. Both sums enter as ~106-bit
+// double-doubles and the leading products carry their FMA rounding
+// errors, so the difference keeps its digits even at CV = 1e-8, where
+// the textbook Σx² − n·μ² in float64 is all rounding. It panics if fewer
+// than two observations have been added.
 func (m *StreamMoments) Variance() float64 {
 	if m.n < 2 {
 		panic("stats: StreamMoments.Variance needs at least 2 observations")
 	}
-	mean := m.Mean()
-	v := (m.squares.Value() - float64(m.n)*mean*mean) / float64(m.n-1)
+	n := float64(m.n)
+	s1, s1lo := m.sum.valueDD()
+	s2, s2lo := m.squares.valueDD()
+	p := n * s2  // n·Σx²
+	q := s1 * s1 // (Σx)²
+	d := (p - q) + ((math.FMA(n, s2, -p) - math.FMA(s1, s1, -q)) + (n*s2lo - (2*s1+s1lo)*s1lo))
+	v := d / (n * (n - 1))
 	if v < 0 {
 		v = 0
 	}

@@ -63,10 +63,25 @@ func TestStreamMomentsMergeOrderSplitInvariant(t *testing.T) {
 	}
 }
 
+// twoPassVariance is the reference sample variance: the mean first,
+// then the sum of squared deviations from it.
+func twoPassVariance(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean := sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return ss / float64(len(xs)-1)
+}
+
 // TestStreamMomentsMatchesBatch pins StreamMoments to the batch
-// reference implementations on well-conditioned (power-like) data: the
-// exact-sum mean is bit-identical to the compensated stats.Mean, and
-// variance agrees with the two-pass stats.Variance to a few ulps.
+// references on well-conditioned (power-like) data: the exact-sum mean
+// agrees with the Welford stats.Mean, and variance with a two-pass
+// reference, to a few ulps.
 func TestStreamMomentsMatchesBatch(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.New(seed)
@@ -78,12 +93,10 @@ func TestStreamMomentsMatchesBatch(t *testing.T) {
 		for _, x := range xs {
 			m.Add(x)
 		}
-		// Kahan-compensated Sum is not guaranteed correctly rounded, but
-		// for this data it is; the comparison guards both implementations.
 		if got, want := m.Mean(), Mean(xs); math.Abs(got-want) > 1e-12*want {
 			t.Fatalf("seed %d: stream mean %g, batch mean %g", seed, got, want)
 		}
-		if got, want := m.Variance(), Variance(xs); math.Abs(got-want) > 1e-9*want {
+		if got, want := m.Variance(), twoPassVariance(xs); math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("seed %d: stream variance %g, batch variance %g", seed, got, want)
 		}
 	}
@@ -125,5 +138,28 @@ func TestStreamMomentsZeroVariance(t *testing.T) {
 	}
 	if v := m.Variance(); v != 0 {
 		t.Fatalf("constant stream variance %g, want exactly 0", v)
+	}
+}
+
+// TestStreamMomentsVarianceLargeMean: a mean 1e8 times the spread is
+// where Σx² − n·μ² loses every digit. Shifting by the first value is
+// exact at this scale, so the two-pass variance of the shifted data is
+// a reference good to ~1e-15.
+func TestStreamMomentsVarianceLargeMean(t *testing.T) {
+	for _, mu := range []float64{400, 1e6, 1e8} {
+		r := rng.New(7)
+		xs := make([]float64, 10000)
+		shifted := make([]float64, len(xs))
+		var m StreamMoments
+		for i := range xs {
+			xs[i] = r.Normal(mu, 1)
+			shifted[i] = xs[i] - xs[0]
+			m.Add(xs[i])
+		}
+		want := twoPassVariance(shifted)
+		if got := m.Variance(); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("mu=%g: variance %.17g, two-pass reference %.17g (rel err %.2g)",
+				mu, got, want, math.Abs(got-want)/want)
+		}
 	}
 }
