@@ -41,11 +41,11 @@ func realMain() int {
 
 	sched, err := faultFlags.Schedule()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	run, err := obsFlags.Start("chaos")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -120,9 +120,4 @@ func realMain() int {
 	}
 	fmt.Printf("all invariants held across %d seeds\n", *seeds)
 	return run.Close(nil)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chaos:", err)
-	os.Exit(1)
 }

@@ -48,12 +48,12 @@ func realMain() int {
 	execFlags.RegisterCheckpoint(flag.CommandLine)
 	flag.Parse()
 	if err := execFlags.Validate(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	run, err := obsFlags.Start("coverage")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -66,11 +66,11 @@ func realMain() int {
 
 	spec, err := systems.ByKey(*system)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	pilot, err := systems.PilotSample(spec, *seed, *pilotSize)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	pop := *population
 	if pop == 0 {
@@ -78,11 +78,11 @@ func realMain() int {
 	}
 	ns, err := cli.ParseInts(*nList)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	levels, err := cli.ParseFloats(*levelList)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	resume, sink, err := run.Progress(execFlags)
 	if err != nil {
@@ -123,12 +123,7 @@ func realMain() int {
 		t.AddRow(row...)
 	}
 	if err := t.WriteText(os.Stdout); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	return run.Close(nil)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "coverage:", err)
-	os.Exit(1)
 }

@@ -37,7 +37,7 @@ func realMain() int {
 
 	run, err := obsFlags.Start("green500")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	_, stop := run.Context(execFlags)
 	defer stop()
@@ -148,9 +148,4 @@ func specFor(name string) (methodology.Spec, error) {
 	default:
 		return methodology.Spec{}, fmt.Errorf("unknown spec %q", name)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "green500:", err)
-	os.Exit(1)
 }

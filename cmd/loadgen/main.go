@@ -101,15 +101,15 @@ func realMain() int {
 	)
 	flag.Parse()
 	if *target == "" {
-		fatal(errors.New("-target is required"))
+		cli.Fatal(errors.New("-target is required"))
 	}
 	if *rate <= 0 {
-		fatal(fmt.Errorf("-rate %v must be positive", *rate))
+		cli.Fatal(fmt.Errorf("-rate %v must be positive", *rate))
 	}
 
 	run, err := obsFlags.Start("loadgen")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -249,9 +249,4 @@ func issue(ctx context.Context, client *http.Client, url, body string) outcome {
 		}
 	}
 	return o
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "loadgen:", err)
-	os.Exit(1)
 }

@@ -77,12 +77,12 @@ func realMain() int {
 	)
 	flag.Parse()
 	if *role != "api" && *role != "worker" {
-		fatal(fmt.Errorf("unknown -role %q (want api or worker)", *role))
+		cli.Fatal(fmt.Errorf("unknown -role %q (want api or worker)", *role))
 	}
 
 	run, err := obsFlags.Start("nodevard")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -218,9 +218,4 @@ func runWorker(run *cli.Run, ctx context.Context, addr string, drainTimeout time
 		run.Log.Error("worker serve loop error", "err", serr)
 	}
 	return run.Close(ctx.Err())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nodevard:", err)
-	os.Exit(1)
 }

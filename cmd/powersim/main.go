@@ -45,12 +45,12 @@ func realMain() int {
 
 	sched, err := faultFlags.Schedule()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	run, err := obsFlags.Start("powersim")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -174,11 +174,6 @@ func realMain() int {
 		fmt.Printf("  trace written:      %s (%d samples)\n", *csvPath, tr.Len())
 	}
 	return run.Close(nil)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "powersim:", err)
-	os.Exit(1)
 }
 
 // minWindowSamples is the fewest samples a 20% Level-1 window should

@@ -52,12 +52,12 @@ func realMain() int {
 	execFlags.RegisterCheckpoint(flag.CommandLine)
 	flag.Parse()
 	if err := execFlags.Validate(); err != nil {
-		fatalf("%v", err)
+		cli.Fatal(err)
 	}
 
 	run, err := obsFlags.Start("repro")
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatal(err)
 	}
 	ctx, stop := run.Context(execFlags)
 	defer stop()
@@ -111,7 +111,7 @@ func realMain() int {
 	if *md != "" {
 		f, err := os.Create(*md)
 		if err != nil {
-			fatalf("creating %s: %v", *md, err)
+			cli.Fatal(fmt.Errorf("creating %s: %v", *md, err))
 		}
 		defer f.Close()
 		mdFile = f
@@ -122,24 +122,24 @@ func realMain() int {
 		}
 		id := res.ID()
 		if err := res.Render(os.Stdout); err != nil {
-			fatalf("rendering %s: %v", id, err)
+			cli.Fatal(fmt.Errorf("rendering %s: %v", id, err))
 		}
 		fmt.Println()
 		if *out != "" {
 			if err := writeCSVs(*out, res); err != nil {
-				fatalf("writing %s: %v", id, err)
+				cli.Fatal(fmt.Errorf("writing %s: %v", id, err))
 			}
 		}
 		if *svg != "" {
 			if err := writeSVGs(*svg, res); err != nil {
-				fatalf("writing %s figures: %v", id, err)
+				cli.Fatal(fmt.Errorf("writing %s figures: %v", id, err))
 			}
 		}
 		if mdFile != nil {
 			fmt.Fprintf(mdFile, "## %s\n\n", res.Title())
 			for _, t := range res.Tables() {
 				if err := t.WriteMarkdown(mdFile); err != nil {
-					fatalf("writing markdown for %s: %v", id, err)
+					cli.Fatal(fmt.Errorf("writing markdown for %s: %v", id, err))
 				}
 				fmt.Fprintln(mdFile)
 			}
@@ -200,9 +200,4 @@ func writeCSVs(dir string, res core.Result) error {
 		}
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "repro: "+format+"\n", args...)
-	os.Exit(1)
 }

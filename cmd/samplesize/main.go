@@ -38,7 +38,7 @@ func realMain() int {
 
 	run, err := obsFlags.Start("samplesize")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	_, stop := run.Context(execFlags)
 	defer stop()
@@ -89,9 +89,4 @@ func realMain() int {
 	fmt.Printf("  achieved accuracy:  \u00b1%.2f%% (exact t quantile)\n", acc*100)
 	fmt.Printf("  assumed sigma/mu:   %.2f%%\n", *cv*100)
 	return run.Close(nil)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "samplesize:", err)
-	os.Exit(1)
 }

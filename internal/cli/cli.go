@@ -4,9 +4,17 @@ package cli
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
+
+// Fatal prints "<command>: err" on stderr and exits 1.
+func Fatal(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
+	os.Exit(1)
+}
 
 // ParseInts parses a comma-separated list of integers.
 func ParseInts(s string) ([]int, error) {

@@ -65,18 +65,9 @@ func runAblation(ctx context.Context, opts Options) (Result, error) {
 	}
 	rob := report.NewTable("Ablation 2: 95% CI coverage by per-node power distribution shape",
 		"Shape", "n=5", "n=16", "n=50")
-	byShape := map[sampling.PilotShape]map[int]float64{}
-	for _, p := range rb {
-		if byShape[p.Shape] == nil {
-			byShape[p.Shape] = map[int]float64{}
-		}
-		byShape[p.Shape][p.SampleSize] = p.Coverage
-	}
-	for _, s := range shapes {
-		rob.AddRow(s.String(),
-			fmt.Sprintf("%.3f", byShape[s][5]),
-			fmt.Sprintf("%.3f", byShape[s][16]),
-			fmt.Sprintf("%.3f", byShape[s][50]))
+	for i := 0; i < len(rb); i += 3 { // shape-major, sizes in order
+		rob.AddRow(rb[i].Shape.String(), fmt.Sprintf("%.3f", rb[i].Coverage),
+			fmt.Sprintf("%.3f", rb[i+1].Coverage), fmt.Sprintf("%.3f", rb[i+2].Coverage))
 	}
 	tables = append(tables, rob)
 

@@ -172,18 +172,20 @@ func TestFigure3CheckpointOptionsThread(t *testing.T) {
 }
 
 // TestAblationCancelDuringRobustnessPhase: a cancel that lands while the
-// ablation's robustness table is being computed stops the run inside the
-// running per-shape study, instead of finishing all four studies and the
-// phases after them.
+// ablation's robustness pass is running stops that pass before it has
+// drawn all its replicates, instead of finishing it and the phases after
+// it.
 func TestAblationCancelDuringRobustnessPhase(t *testing.T) {
+	const passReps = 10000 // each ablation pass runs Replicates/2
 	studies := obs.NewCounter("sampling.bootstrap.studies")
-	base := studies.Value()
+	replicates := obs.NewCounter("sampling.bootstrap.replicates")
+	baseStudies, baseReps := studies.Value(), replicates.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The t-vs-z table runs two studies, so the third study to start is
-	// the robustness phase's first.
+	// The t-vs-z table is one replicate loop, so the second loop to start
+	// is the robustness pass.
 	go func() {
-		for studies.Value() < base+3 {
+		for studies.Value() < baseStudies+2 {
 			if ctx.Err() != nil {
 				return
 			}
@@ -191,11 +193,13 @@ func TestAblationCancelDuringRobustnessPhase(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := runAblation(ctx, Options{Seed: 1, Replicates: 20000})
+	_, err := runAblation(ctx, Options{Seed: 1, Replicates: 2 * passReps})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := studies.Value() - base; got != 3 {
-		t.Errorf("%d coverage studies started, want 3: the cancel should stop the robustness phase in its first study", got)
+	// The t-vs-z pass drew all of its replicates; the robustness pass
+	// must have stopped short of its own.
+	if got := replicates.Value() - baseReps - passReps; got < 0 || got >= passReps {
+		t.Errorf("robustness pass drew %d replicates, want in [0, %d): the cancel should stop it mid-pass", got, passReps)
 	}
 }

@@ -42,6 +42,11 @@ const (
 	maxNameLen           = 128
 )
 
+// maxWatts is the largest per-node sample ingestion accepts: no node
+// draws a megawatt, and the ceiling keeps every fleet moment finite (two
+// samples near 1e200 W overflow the sum of squares into NaN).
+const maxWatts = 1e6
+
 // SketchAlpha is the relative accuracy of every fleet's quantile
 // sketches.
 const SketchAlpha = 0.005
@@ -116,7 +121,8 @@ func ValidName(s string) error {
 
 // ValidateBatch checks a sample batch without touching any state:
 // non-empty, every node name legal and unique within the batch, every
-// sequence positive, every power value finite and positive. Ingestion
+// sequence positive, every power value positive and at most maxWatts
+// (1 MW per node). Ingestion
 // validates before applying, so an invalid batch can never leave a fleet
 // partially updated.
 func ValidateBatch(samples []Sample) error {
@@ -131,11 +137,8 @@ func ValidateBatch(samples []Sample) error {
 		if s.Seq == 0 {
 			return fmt.Errorf("sample %d (%s): sequence must be >= 1", i, s.Node)
 		}
-		if math.IsNaN(s.Watts) || math.IsInf(s.Watts, 0) {
-			return fmt.Errorf("sample %d (%s): watts must be finite", i, s.Node)
-		}
-		if s.Watts <= 0 {
-			return fmt.Errorf("sample %d (%s): watts must be positive, got %v", i, s.Node, s.Watts)
+		if !(s.Watts > 0 && s.Watts <= maxWatts) { // false for NaN and ±Inf too
+			return fmt.Errorf("sample %d (%s): watts must be in (0, %g], got %v", i, s.Node, maxWatts, s.Watts)
 		}
 		if _, dup := seen[s.Node]; dup {
 			return fmt.Errorf("sample %d: duplicate node %q in batch (one sample per node per batch)", i, s.Node)

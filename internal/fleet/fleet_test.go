@@ -63,6 +63,9 @@ func TestValidateBatchTable(t *testing.T) {
 		{"inf watts", []Sample{{Node: "n1", Seq: 1, Watts: math.Inf(1)}}, false},
 		{"negative watts", []Sample{{Node: "n1", Seq: 1, Watts: -3}}, false},
 		{"zero watts", []Sample{{Node: "n1", Seq: 1, Watts: 0}}, false},
+		{"watts at ceiling", []Sample{{Node: "n1", Seq: 1, Watts: maxWatts}}, true},
+		{"watts above ceiling", []Sample{{Node: "n1", Seq: 1, Watts: math.Nextafter(maxWatts, math.Inf(1))}}, false},
+		{"overflowing watts", []Sample{{Node: "n1", Seq: 1, Watts: 1e200}}, false},
 		{"empty node", []Sample{{Node: "", Seq: 1, Watts: 400}}, false},
 		{"bad node char", []Sample{{Node: "n 1", Seq: 1, Watts: 400}}, false},
 		{"dup node in batch", []Sample{

@@ -30,35 +30,19 @@ func (c IntervalComparison) UnderCoverage() float64 {
 	return c.CoverageT - c.CoverageZ
 }
 
-// CompareIntervalsCtx runs the bootstrap study twice — once with exact t
-// critical values, once with the z approximation — and pairs the
-// results. A cancellation between or during the two studies returns
-// ctx.Err().
+// CompareIntervalsCtx scores exact t and z critical values against one
+// shared bootstrap draw and pairs the results: each side equals the
+// single study with that rule, at the cost of one replicate loop. A
+// cancellation during the pass returns ctx.Err().
 func CompareIntervalsCtx(ctx context.Context, cfg CoverageConfig) ([]IntervalComparison, error) {
-	cfg.UseZ = false
-	tPoints, err := CoverageStudyCtx(ctx, cfg)
+	points, err := coverageVariants(ctx, cfg, []variant{{pilot: cfg.Pilot}, {pilot: cfg.Pilot, useZ: true}})
 	if err != nil {
 		return nil, err
 	}
-	cfg.UseZ = true
-	zPoints, err := CoverageStudyCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(tPoints) != len(zPoints) {
-		return nil, errors.New("sampling: interval comparison mismatch")
-	}
-	out := make([]IntervalComparison, len(tPoints))
-	for i := range tPoints {
-		if tPoints[i].SampleSize != zPoints[i].SampleSize || tPoints[i].Level != zPoints[i].Level {
-			return nil, errors.New("sampling: interval comparison misaligned")
-		}
-		out[i] = IntervalComparison{
-			SampleSize: tPoints[i].SampleSize,
-			Level:      tPoints[i].Level,
-			CoverageT:  tPoints[i].Coverage,
-			CoverageZ:  zPoints[i].Coverage,
-		}
+	out := make([]IntervalComparison, len(points[0]))
+	for i, p := range points[0] {
+		out[i] = IntervalComparison{SampleSize: p.SampleSize, Level: p.Level,
+			CoverageT: p.Coverage, CoverageZ: points[1][i].Coverage}
 	}
 	return out, nil
 }
@@ -179,34 +163,36 @@ type RobustnessPoint struct {
 }
 
 // RobustnessStudy measures CI coverage across pilot shapes, quantifying
-// where the methodology's normality assumption actually matters. A
-// cancellation between or during the per-shape studies returns ctx.Err().
+// where the methodology's normality assumption actually matters. Every
+// shape's pilot has pilotSize nodes, so one replicate loop scores all
+// shapes against the same draws (common random numbers); each shape's
+// points equal its own single study with the same seed. A cancellation
+// during the pass returns ctx.Err().
 func RobustnessStudy(ctx context.Context, shapes []PilotShape, sampleSizes []int, level float64,
 	pilotSize, population, replicates int, seed uint64) ([]RobustnessPoint, error) {
-	var out []RobustnessPoint
-	for _, shape := range shapes {
+	vs := make([]variant, len(shapes))
+	for i, shape := range shapes {
 		pilot, err := SyntheticPilot(shape, pilotSize, 400, 0.025, seed)
 		if err != nil {
 			return nil, err
 		}
-		points, err := CoverageStudyCtx(ctx, CoverageConfig{
-			Pilot:       pilot,
-			Population:  population,
-			SampleSizes: sampleSizes,
-			Levels:      []float64{level},
-			Replicates:  replicates,
-			Seed:        seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range points {
-			out = append(out, RobustnessPoint{
-				Shape:      shape,
-				SampleSize: p.SampleSize,
-				Level:      p.Level,
-				Coverage:   p.Coverage,
-			})
+		vs[i] = variant{pilot: pilot}
+	}
+	points, err := coverageVariants(ctx, CoverageConfig{
+		Population:  population,
+		SampleSizes: sampleSizes,
+		Levels:      []float64{level},
+		Replicates:  replicates,
+		Seed:        seed,
+	}, vs)
+	if err != nil {
+		return nil, err
+	}
+	var out []RobustnessPoint
+	for i, shape := range shapes {
+		for _, p := range points[i] {
+			out = append(out, RobustnessPoint{Shape: shape, SampleSize: p.SampleSize,
+				Level: p.Level, Coverage: p.Coverage})
 		}
 	}
 	return out, nil

@@ -20,7 +20,9 @@ import (
 
 // Bootstrap metrics: replicate throughput is the headline number (the
 // paper ran 100000 replicates per point), chunk seconds expose
-// stragglers in the deterministic parallel decomposition.
+// stragglers in the deterministic parallel decomposition. studies counts
+// replicate loops, however many variants each scores; replicates counts
+// drawn replicates, once per shared draw.
 var (
 	mBootStudies    = obs.NewCounter("sampling.bootstrap.studies")
 	mBootReplicates = obs.NewCounter("sampling.bootstrap.replicates")
@@ -30,19 +32,14 @@ var (
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 )
 
-// coverageKind stamps coverage-study checkpoints; bump if the chunk
-// decomposition, the per-replicate RNG stream, or the meaning of the
-// accumulators ever changes. v2 is the count-based replicate loop: the
-// streams differ from v1, so a stale v1 checkpoint must fail fast with
-// checkpoint.ErrMismatch rather than resume into a different stream.
-const coverageKind = "sampling/coverage-study/v2"
-
-// CoverageCheckpointKind is the checkpoint kind stamp of coverage-study
-// progress, exported so transports that carry checkpoint envelopes
-// between processes (internal/dist workers stream them to the frontend)
-// can verify an envelope belongs to this study formulation before
-// accepting it.
-const CoverageCheckpointKind = coverageKind
+// CoverageCheckpointKind stamps coverage-study checkpoints; bump if the
+// chunk decomposition, the per-replicate RNG stream, or the meaning of
+// the accumulators ever changes. v2 is the count-based replicate loop:
+// the streams differ from v1, so a stale v1 checkpoint must fail fast
+// with checkpoint.ErrMismatch rather than resume into a different
+// stream. Transports that carry envelopes between processes
+// (internal/dist workers stream them to the frontend) check it too.
+const CoverageCheckpointKind = "sampling/coverage-study/v2"
 
 // CoverageConfig describes a Figure-3 style bootstrap calibration study.
 type CoverageConfig struct {
@@ -164,7 +161,7 @@ func (p CoveragePoint) Miscalibration() float64 {
 }
 
 // chunkResult is one chunk's complete contribution: hit counts and
-// relative-width partial sums, flat-indexed [ni*nLevels+li]. It is what
+// relative-width partial sums, flat-indexed [vi][ni][li]. It is what
 // the checkpoint persists — chunks are the atomic unit of progress, so a
 // checkpoint never holds a torn chunk.
 type chunkResult struct {
@@ -183,11 +180,11 @@ type coverageProgress struct {
 
 // coverScratch is one chunk worker's working set for the count-based
 // replicate loop: the multinomial cell counts for the unsampled rest of
-// the machine and the subset value prefix. Pooled across chunks so the
-// steady-state replicate loop performs no heap allocation.
+// the machine and the pilot indices of the subset prefix. Pooled across
+// chunks so the steady-state replicate loop performs no heap allocation.
 type coverScratch struct {
 	counts []int
-	vals   []float64
+	picks  []int
 }
 
 var coverScratchPool = sync.Pool{New: func() any { return new(coverScratch) }}
@@ -201,19 +198,10 @@ var coverScratchPool = sync.Pool{New: func() any { return new(coverScratch) }}
 //  3. form the t-based interval of Equation 1,
 //  4. check whether it covers the simulated machine's true mean.
 //
-// The machine is never materialized. A resampled machine is Population
-// iid uniform picks from the pilot, so its node-count histogram over the
-// len(Pilot) distinct pilot values is a multinomial draw, and the true
-// mean is the count-weighted pilot mean — O(pilot) per replicate instead
-// of O(Population). The without-replacement subsets ride on
-// exchangeability: the values at any n distinct machine positions are
-// themselves n iid pilot picks, so one replicate draws the largest
-// subset prefix directly (each smaller size is a prefix of it, uniform
-// for every size), then draws the remaining Population-n_max nodes in
-// count form for the true mean. Per-replicate cost is
-// O(pilot + max(SampleSizes)) with no Population-sized buffers, and the
-// recorded statistics are distributed identically to the materialized
-// formulation (DESIGN.md derives the equivalence).
+// The machine is never materialized: the replicate loop draws it in
+// count form at O(pilot + max(SampleSizes)) per replicate, with no
+// Population-sized buffers, distributed identically to the materialized
+// formulation (DESIGN.md §7 derives the equivalence).
 //
 // Replicates are distributed over deterministic RNG chunks and run in
 // parallel; results are bit-identical for a fixed (Seed, Chunks) pair
@@ -232,8 +220,81 @@ func CoverageStudy(cfg CoverageConfig) ([]CoveragePoint, error) {
 // the checkpoint and running only the missing chunks yields output
 // bit-identical to an uninterrupted run.
 func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint, error) {
-	if err := cfg.Validate(); err != nil {
+	points, err := coverageVariants(ctx, cfg, []variant{{pilot: cfg.Pilot, useZ: cfg.UseZ}})
+	if points == nil {
 		return nil, err
+	}
+	return points[0], err
+}
+
+// variant is one estimator scored against a shared draw: a pilot and a
+// critical-value rule. coverageVariants fills in the rest on its own
+// copy: the pilot centred on its mean, and the critical value of every
+// (n, level).
+type variant struct {
+	pilot  []float64
+	useZ   bool
+	cpilot []float64
+	mean   float64
+	crit   []float64 // [ni][li]
+}
+
+// coverageVariants is the one coverage replicate loop. A resampled
+// machine is Population iid uniform pilot picks, so its histogram over
+// the pilot values is a multinomial draw and its true mean the
+// count-weighted pilot mean. Subsets ride on exchangeability: the values
+// at any n distinct machine positions are n iid pilot picks. So each
+// replicate draws once — the n_max picks every subset size is a prefix
+// of, then multinomial counts for the other Population-n_max nodes — and
+// scores every variant against that draw in the operation order of a
+// batch of one: points[i] is bit-identical to CoverageStudyCtx with
+// variant i's Pilot and UseZ. The draw depends on len(Pilot), so the
+// variants must share it. Cells are laid out [vi][ni][li]; a batch of
+// one keeps the single study's checkpoint payload and fingerprint, a
+// larger batch fingerprints the sequence of its variants' fingerprints.
+func coverageVariants(ctx context.Context, cfg CoverageConfig, vs []variant) ([][]CoveragePoint, error) {
+	if len(vs) == 0 {
+		return nil, errors.New("sampling: coverage study needs at least one variant")
+	}
+	vs = append([]variant(nil), vs...) // filled in below; the caller's stay as given
+	nPilot := len(vs[0].pilot)
+	batchFP := checkpoint.NewFingerprint()
+	var fp uint64
+	for i := range vs {
+		v := &vs[i]
+		c := cfg
+		c.Pilot, c.UseZ = v.pilot, v.useZ
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		if len(v.pilot) != nPilot {
+			return nil, fmt.Errorf("sampling: variant %d pilot has %d nodes, not %d: a shared draw needs one pilot length", i, len(v.pilot), nPilot)
+		}
+		fp = c.Fingerprint()
+		batchFP.Int(int(fp))
+		// Pilot values are centered once: the subset and true-mean sums
+		// then run over deviations, which keeps the count-weighted
+		// variance free of catastrophic cancellation.
+		sum := 0.0
+		for _, x := range v.pilot {
+			sum += x
+		}
+		v.mean, v.cpilot = sum/float64(nPilot), make([]float64, nPilot)
+		for k, x := range v.pilot {
+			v.cpilot[k] = x - v.mean
+		}
+		for _, n := range cfg.SampleSizes {
+			for _, lv := range cfg.Levels {
+				cv := stats.ZQuantile(1 - (1-lv)/2)
+				if !v.useZ {
+					cv = stats.TQuantile(n-1, 1-(1-lv)/2)
+				}
+				v.crit = append(v.crit, cv)
+			}
+		}
+	}
+	if len(vs) > 1 {
+		fp = batchFP.Sum()
 	}
 	mBootStudies.Inc()
 	// Context-propagated span: inside a traced request this nests under
@@ -242,6 +303,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 	if sp.Active() {
 		sp.Attr("replicates", strconv.Itoa(cfg.Replicates))
 		sp.Attr("population", strconv.Itoa(cfg.Population))
+		sp.Attr("variants", strconv.Itoa(len(vs)))
 	}
 	defer sp.End()
 	tStudy := time.Now()
@@ -254,6 +316,8 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		saveEvery = 8
 	}
 	nSizes, nLevels := len(cfg.SampleSizes), len(cfg.Levels)
+	stride := nSizes * nLevels
+	nCells := len(vs) * stride
 
 	// The deterministic decomposition: chunk ci always covers ranges[ci]
 	// and always consumes the ci-th sequential split of the root stream,
@@ -261,12 +325,11 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 	// invariance is the whole resume story.
 	ranges := parallel.SplitRange(cfg.Replicates, chunks)
 	streams := parallel.ChunkStreams(rng.New(cfg.Seed), len(ranges))
-	fp := cfg.Fingerprint()
 
 	results := make([]*chunkResult, len(ranges))
 	if len(cfg.ResumeData) > 0 {
 		var prog coverageProgress
-		err := checkpoint.Decode(cfg.ResumeData, coverageKind, cfg.Seed, fp, &prog)
+		err := checkpoint.Decode(cfg.ResumeData, CoverageCheckpointKind, cfg.Seed, fp, &prog)
 		switch {
 		case err != nil:
 			return nil, err
@@ -278,7 +341,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 				cr := cr
 				if cr.Ci < 0 || cr.Ci >= len(ranges) ||
 					ranges[cr.Ci] != (parallel.Range{Lo: cr.Lo, Hi: cr.Hi}) ||
-					len(cr.Hits) != nSizes*nLevels || len(cr.Widths) != nSizes*nLevels {
+					len(cr.Hits) != nCells || len(cr.Widths) != nCells {
 					return nil, fmt.Errorf("%w: chunk %d does not match the study decomposition",
 						checkpoint.ErrCorrupt, cr.Ci)
 				}
@@ -288,24 +351,9 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		}
 	}
 
-	// Precompute the critical values for every (n, level) pair.
-	crit := make([][]float64, nSizes)
-	for ni, n := range cfg.SampleSizes {
-		crit[ni] = make([]float64, nLevels)
-		for li, lv := range cfg.Levels {
-			if cfg.UseZ {
-				crit[ni][li] = stats.ZQuantile(1 - (1-lv)/2)
-			} else {
-				crit[ni][li] = stats.TQuantile(n-1, 1-(1-lv)/2)
-			}
-		}
-	}
-
 	// Sample sizes are processed in ascending order inside a replicate so
 	// each size extends the previous one's value prefix; results land at
-	// the caller's original index. Pilot values are centered once: the
-	// subset and true-mean sums then run over deviations, which keeps the
-	// count-weighted variance free of catastrophic cancellation.
+	// the caller's original index.
 	order := make([]int, nSizes)
 	for i := range order {
 		order[i] = i
@@ -314,17 +362,6 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		return cfg.SampleSizes[order[a]] < cfg.SampleSizes[order[b]]
 	})
 	nmax := cfg.SampleSizes[order[nSizes-1]]
-	nPilot := len(cfg.Pilot)
-	pilotSum := 0.0
-	for _, v := range cfg.Pilot {
-		pilotSum += v
-	}
-	pilotMean := pilotSum / float64(nPilot)
-	cpilot := make([]float64, nPilot)
-	for k, v := range cfg.Pilot {
-		cpilot[k] = v - pilotMean
-	}
-
 	var (
 		mu        sync.Mutex
 		doneCount int
@@ -353,7 +390,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		if cfg.OnCheckpoint == nil {
 			return
 		}
-		env, err := checkpoint.Encode(coverageKind, cfg.Seed, fp, snapshot())
+		env, err := checkpoint.Encode(CoverageCheckpointKind, cfg.Seed, fp, snapshot())
 		if err == nil {
 			err = cfg.OnCheckpoint(env)
 		}
@@ -385,60 +422,65 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		if cap(sc.counts) < nPilot {
 			sc.counts = make([]int, nPilot)
 		}
-		if cap(sc.vals) < nmax {
-			sc.vals = make([]float64, nmax)
+		if cap(sc.picks) < nmax {
+			sc.picks = make([]int, nmax)
 		}
 		counts := sc.counts[:nPilot]
-		vals := sc.vals[:nmax]
-		localHits := make([]int64, nSizes*nLevels)
-		localWidth := make([]float64, nSizes*nLevels)
+		picks := sc.picks[:nmax]
+		localHits := make([]int64, nCells)
+		localWidth := make([]float64, nCells)
 		rest := cfg.Population - nmax
 		for rep := r.Lo; rep < r.Hi; rep++ {
-			// Steps 1-2, count form. The n_max machine positions every
-			// subset will touch are drawn first, as iid pilot picks (the
-			// subsets are prefixes of this sequence); the remaining
-			// Population-n_max nodes exist only as a multinomial count
-			// vector, whose dot with the centered pilot completes the
-			// simulated machine's true mean.
-			prefixSum := 0.0
-			for i := range vals {
-				v := cpilot[stream.Intn(nPilot)]
-				vals[i] = v
-				prefixSum += v
+			// Steps 1-2, count form, drawn once for every variant. The
+			// n_max machine positions every subset will touch are drawn
+			// first, as iid pilot picks (the subsets are prefixes of this
+			// sequence); the remaining Population-n_max nodes exist only as
+			// a multinomial count vector, whose dot with the centered pilot
+			// completes the simulated machine's true mean.
+			for i := range picks {
+				picks[i] = stream.Intn(nPilot)
 			}
 			stream.MultinomialEqual(rest, counts)
-			restSum := 0.0
-			for k, c := range counts {
-				restSum += float64(c) * cpilot[k]
-			}
-			trueMean := pilotMean + (prefixSum+restSum)/float64(cfg.Population)
-			// Steps 3-4 per size (ascending, so each size extends the
-			// previous prefix's running sums) and per level: interval hit
-			// and the level's own relative half-width (wider levels have
-			// wider intervals, so widths are tracked per level).
-			sum, sumsq := 0.0, 0.0
-			drawn := 0
-			for _, ni := range order {
-				n := cfg.SampleSizes[ni]
-				for ; drawn < n; drawn++ {
-					v := vals[drawn]
-					sum += v
-					sumsq += v * v
+			for vi := range vs {
+				s := &vs[vi]
+				prefixSum := 0.0
+				for _, k := range picks {
+					prefixSum += s.cpilot[k]
 				}
-				fn := float64(n)
-				mean := pilotMean + sum/fn
-				variance := (sumsq - sum*sum/fn) / (fn - 1)
-				if variance < 0 {
-					variance = 0
+				restSum := 0.0
+				for k, c := range counts {
+					restSum += float64(c) * s.cpilot[k]
 				}
-				se := math.Sqrt(variance / fn)
-				for li, cv := range crit[ni] {
-					half := cv * se
-					if mean-half <= trueMean && trueMean <= mean+half {
-						localHits[ni*nLevels+li]++
+				trueMean := s.mean + (prefixSum+restSum)/float64(cfg.Population)
+				// Steps 3-4 per size (ascending, so each size extends the
+				// previous prefix's running sums) and per level: interval
+				// hit and the level's own relative half-width (wider levels
+				// have wider intervals, so widths are tracked per level).
+				hits, widths := localHits[vi*stride:], localWidth[vi*stride:]
+				sum, sumsq := 0.0, 0.0
+				drawn := 0
+				for _, ni := range order {
+					n := cfg.SampleSizes[ni]
+					for ; drawn < n; drawn++ {
+						v := s.cpilot[picks[drawn]]
+						sum += v
+						sumsq += v * v
 					}
-					if mean != 0 {
-						localWidth[ni*nLevels+li] += half / math.Abs(mean)
+					fn := float64(n)
+					mean := s.mean + sum/fn
+					variance := (sumsq - sum*sum/fn) / (fn - 1)
+					if variance < 0 {
+						variance = 0
+					}
+					se := math.Sqrt(variance / fn)
+					for li, cv := range s.crit[ni*nLevels : (ni+1)*nLevels] {
+						half := cv * se
+						if mean-half <= trueMean && trueMean <= mean+half {
+							hits[ni*nLevels+li]++
+						}
+						if mean != 0 {
+							widths[ni*nLevels+li] += half / math.Abs(mean)
+						}
 					}
 				}
 			}
@@ -481,8 +523,8 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 
 	// Reduce in chunk order (== ascending Lo, since SplitRange emits
 	// ordered ranges) for a scheduling-independent floating-point sum.
-	hits := make([]int64, nSizes*nLevels)
-	widthSums := make([]float64, nSizes*nLevels)
+	hits := make([]int64, nCells)
+	widthSums := make([]float64, nCells)
 	doneReps := 0
 	for _, cr := range results {
 		if cr == nil {
@@ -498,16 +540,20 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		return nil, runErr
 	}
 
-	points := make([]CoveragePoint, 0, nSizes*nLevels)
-	for ni, n := range cfg.SampleSizes {
-		for li, lv := range cfg.Levels {
-			points = append(points, CoveragePoint{
-				SampleSize:   n,
-				Level:        lv,
-				Coverage:     float64(hits[ni*nLevels+li]) / float64(doneReps),
-				MeanRelWidth: widthSums[ni*nLevels+li] / float64(doneReps),
-				Replicates:   doneReps,
-			})
+	points := make([][]CoveragePoint, len(vs))
+	for vi := range vs {
+		points[vi] = make([]CoveragePoint, 0, stride)
+		for ni, n := range cfg.SampleSizes {
+			for li, lv := range cfg.Levels {
+				i := vi*stride + ni*nLevels + li
+				points[vi] = append(points[vi], CoveragePoint{
+					SampleSize:   n,
+					Level:        lv,
+					Coverage:     float64(hits[i]) / float64(doneReps),
+					MeanRelWidth: widthSums[i] / float64(doneReps),
+					Replicates:   doneReps,
+				})
+			}
 		}
 	}
 	return points, runErr

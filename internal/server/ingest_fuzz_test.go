@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // FuzzIngestDecode drives the /v1/ingest decode-and-validate path with
 // arbitrary bodies: it must never panic, and any batch it accepts must
 // apply cleanly to a fresh registry with every sample accounted for
-// (accepted + duplicates == batch size, fleet state consistent).
+// (accepted + duplicates == batch size, fleet state consistent and
+// encodable, so no accepted watts value can overflow the moments).
 // Rejected input must never create or mutate a fleet.
 func FuzzIngestDecode(f *testing.F) {
 	seeds := []string{
@@ -23,6 +25,7 @@ func FuzzIngestDecode(f *testing.F) {
 		`{"fleet":"f","samples":[{"node":"n1","seq":1,"watts":0}]}`,
 		`{"fleet":"f","samples":[{"node":"n1","seq":1,"watts":NaN}]}`,
 		`{"fleet":"f","samples":[{"node":"n1","seq":1,"watts":1e999}]}`,
+		`{"fleet":"f","samples":[{"node":"a","seq":1,"watts":1e200},{"node":"b","seq":1,"watts":2e200}]}`,
 		`{"fleet":"f","samples":[{"node":"a","seq":1,"watts":1},{"node":"a","seq":2,"watts":2}]}`,
 		`{"fleet":"f","samples":[{"node":"a b","seq":1,"watts":1}]}`,
 		`{"fleet":"f","extra":true,"samples":[{"node":"n","seq":1,"watts":1}]}`,
@@ -69,6 +72,9 @@ func FuzzIngestDecode(f *testing.F) {
 		}
 		if st.Samples > 0 && (st.Mean < st.Min || st.Mean > st.Max) {
 			t.Fatalf("corrupt moments: mean %g outside [%g, %g]", st.Mean, st.Min, st.Max)
+		}
+		if _, err := json.Marshal(st); err != nil {
+			t.Fatalf("accepted batch leaves unencodable stats: %v\nbody: %q", err, body)
 		}
 	})
 }

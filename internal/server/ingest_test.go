@@ -236,3 +236,51 @@ func TestFleetOutliersEndpoint(t *testing.T) {
 		t.Fatalf("empty outliers serialized as %s", raw["outliers"])
 	}
 }
+
+// Watts above the 1 MW per-node ceiling are rejected at the door: a
+// batch at 1e200 W would overflow the fleet's sum of squares and leave
+// every later stats read answering NaN. A fleet at the ceiling itself
+// still reports finite statistics.
+func TestIngestWattsCeiling(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	good := `{"fleet":"g","samples":[{"node":"a","seq":1,"watts":400},{"node":"b","seq":1,"watts":410}]}`
+	if resp, b := postJSON(t, ts.URL+"/v1/ingest", good); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed batch %d: %s", resp.StatusCode, b)
+	}
+	huge := `{"fleet":"g","samples":[{"node":"c","seq":1,"watts":1e200},{"node":"d","seq":1,"watts":2e200}]}`
+	resp, b := postJSON(t, ts.URL+"/v1/ingest", huge)
+	if resp.StatusCode != http.StatusBadRequest || decodeAPIError(t, b) != codeBadRequest {
+		t.Fatalf("overflowing batch: %d %s", resp.StatusCode, b)
+	}
+	resp, b = getURL(t, ts.URL+"/v1/fleet/g/stats")
+	var st FleetStatsResponse
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats after rejected batch: %d %s", resp.StatusCode, b)
+	}
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Samples != 2 || st.Nodes != 2 || st.Max != 410 {
+		t.Fatalf("rejected batch mutated fleet: %+v", st)
+	}
+
+	ceiling := `{"fleet":"top","samples":[{"node":"a","seq":1,"watts":1e6},{"node":"b","seq":1,"watts":1e6},{"node":"c","seq":1,"watts":5e5}]}`
+	if resp, b := postJSON(t, ts.URL+"/v1/ingest", ceiling); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch at the ceiling: %d %s", resp.StatusCode, b)
+	}
+	for _, path := range []string{"/v1/fleet/top/stats", "/v1/fleet/top/samplesize"} {
+		if resp, b := getURL(t, ts.URL+path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s at the ceiling: %d %s", path, resp.StatusCode, b)
+		}
+	}
+	_, b = getURL(t, ts.URL+"/v1/fleet/top/stats")
+	st = FleetStatsResponse{}
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{st.Mean, st.StdDev, st.CV} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			t.Fatalf("stats at the ceiling not finite and positive: %+v", st)
+		}
+	}
+}
