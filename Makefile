@@ -81,7 +81,9 @@ bench:
 # regression against the committed baseline, and additionally locks in
 # the rewrite's speedup against the pre-rewrite BENCH_4.json trajectory
 # point (>=5x ns/op and >=10x B/op on the two bootstrap-bound benches).
-# -count=3 with benchgate's min-merge filters scheduler noise.
+# -count=3 with benchgate's min-merge filters scheduler noise. Both checks
+# always run, so a regression cannot hide the floors; the target fails if
+# either does.
 BENCH_BASELINE ?= BENCH_6.json
 BENCH_KEY = Table4$$|Figure3$$|BootstrapReplicates$$|CoverageStudyReplicate$$
 BENCH_COUNT ?= 3
@@ -94,10 +96,12 @@ bench-baseline:
 
 bench-compare:
 	$(GO) test -run='^$$' -bench='$(BENCH_KEY)' -benchmem -count=$(BENCH_COUNT) . ./internal/sampling > /tmp/bench-current.txt
+	status=0; \
 	$(GO) run ./cmd/benchgate -current /tmp/bench-current.txt -baseline $(BENCH_BASELINE) \
-	  -max-regress 0.15 -require Table4,Figure3,BootstrapReplicates,CoverageStudy
+	  -max-regress 0.15 -require Table4,Figure3,BootstrapReplicates,CoverageStudy || status=1; \
 	$(GO) run ./cmd/benchgate -current /tmp/bench-current.txt -baseline BENCH_4.json \
-	  -improve Figure3,BootstrapReplicates -min-speedup 5 -min-memratio 10
+	  -improve Figure3,BootstrapReplicates -min-speedup 5 -min-memratio 10 || status=1; \
+	exit $$status
 
 # Emit a Chrome trace from a real run and validate it with the same
 # checker chrome://tracing and Perfetto rely on (JSON array of complete

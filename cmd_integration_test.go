@@ -233,6 +233,9 @@ func TestNodevardServe(t *testing.T) {
 	}
 }
 
+// interruptReplicates sizes TestReproInterrupt's Figure 3 run.
+const interruptReplicates = "2000000"
+
 // TestReproInterrupt drives the graceful-shutdown path end to end: a
 // long Figure 3 run is interrupted with SIGINT once its checkpoint file
 // exists, and must exit 130 leaving a loadable checkpoint and a
@@ -244,9 +247,11 @@ func TestReproInterrupt(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 
 	// Enough replicates that the study cannot finish before the signal
-	// lands, with the first checkpoint flush (8 of 64 chunks) seconds in.
+	// lands: the first checkpoint flush comes after 8 of 64 chunks, and
+	// the other 56 take about 10 s on a 2-vCPU guest (the whole run about
+	// 12 s), so a loaded host still has seconds to deliver the SIGINT.
 	cmd := exec.Command(filepath.Join(dir, "repro"),
-		"-exp", "figure3", "-replicates", "400000",
+		"-exp", "figure3", "-replicates", interruptReplicates,
 		"-checkpoint", ckpt, "-manifest", manifest)
 	var out strings.Builder
 	cmd.Stdout = &out
@@ -311,9 +316,9 @@ func TestReproInterrupt(t *testing.T) {
 	// Resuming from what the interrupted run left finishes to the bytes
 	// of an uninterrupted run, and the manifest says it resumed.
 	resumedManifest := filepath.Join(dir, "resumed.json")
-	resumed := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", "400000",
+	resumed := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", interruptReplicates,
 		"-checkpoint", ckpt, "-resume", "-manifest", resumedManifest)
-	clean := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", "400000")
+	clean := run(t, filepath.Join(dir, "repro"), "-exp", "figure3", "-replicates", interruptReplicates)
 	if resumed != clean {
 		t.Errorf("resumed output differs from an uninterrupted run:\n%s\n---\n%s", resumed, clean)
 	}

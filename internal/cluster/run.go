@@ -277,16 +277,20 @@ func (r *RunResult) SubsetTraceBetween(idx []int, lo, hi float64) (*power.Trace,
 	}
 	m := &c.Model
 	samples := make([]power.Sample, khi-klo+1)
-	for k := klo; k <= khi; k++ {
-		var sum power.Watts
-		for _, i := range idx {
-			ns := c.nodes[i]
-			dc := m.IdleWatts*ns.idle*r.thermal[k] +
-				m.DynamicWatts*ns.dynamic*r.utilDyn[k]*r.thermal[k] +
-				ns.fan*r.fan[k]
-			sum += m.PSU.WallPower(power.Watts(dc))
+	for k := range samples {
+		samples[k].Time = r.times[klo+k]
+	}
+	thermal, utilDyn, fan := r.thermal[klo:khi+1], r.utilDyn[klo:khi+1], r.fan[klo:khi+1]
+	// Node-outer, tick-inner: each tick still adds its nodes in idx order,
+	// and the hoisted products are the left-associated prefixes of
+	// NodeTrace's expression, so every sum is bit-identical.
+	for _, i := range idx {
+		ns := c.nodes[i]
+		idle, dyn := m.IdleWatts*ns.idle, m.DynamicWatts*ns.dynamic
+		for k := range samples {
+			dc := idle*thermal[k] + dyn*utilDyn[k]*thermal[k] + ns.fan*fan[k]
+			samples[k].Power += m.PSU.WallPower(power.Watts(dc))
 		}
-		samples[k-klo] = power.Sample{Time: r.times[k], Power: sum}
 	}
 	mSubsetTraces.Inc()
 	mSubsetSamples.Add(int64(len(samples)))
@@ -294,8 +298,9 @@ func (r *RunResult) SubsetTraceBetween(idx []int, lo, hi float64) (*power.Trace,
 }
 
 // NodeTraceAverage returns node i's time-averaged wall power over the run
-// — bit-identical to NodeTrace(i).Average() (the same left-to-right
-// trapezoid summation) but without materializing the trace. It panics if
+// — bit-identical to NodeTrace(i).Average() (power.Integrator runs the
+// same left-to-right trapezoid summation) but without materializing the
+// trace. It panics if
 // i is out of range and returns 0 for degenerate single-tick runs.
 func (r *RunResult) NodeTraceAverage(i int) float64 {
 	c := r.Cluster
@@ -307,20 +312,15 @@ func (r *RunResult) NodeTraceAverage(i int) float64 {
 	}
 	m := &c.Model
 	ns := c.nodes[i]
-	wall := func(k int) float64 {
+	var g power.Integrator
+	for k, t := range r.times {
 		dc := m.IdleWatts*ns.idle*r.thermal[k] +
 			m.DynamicWatts*ns.dynamic*r.utilDyn[k]*r.thermal[k] +
 			ns.fan*r.fan[k]
-		return float64(m.PSU.WallPower(power.Watts(dc)))
+		g.Add(power.Sample{Time: t, Power: m.PSU.WallPower(power.Watts(dc))})
 	}
-	var total float64
-	prev := wall(0)
-	for k := 1; k < len(r.times); k++ {
-		cur := wall(k)
-		total += (prev + cur) / 2 * (r.times[k] - r.times[k-1])
-		prev = cur
-	}
-	return total / (r.times[len(r.times)-1] - r.times[0])
+	avg, _ := g.Average() // times strictly increase, so it cannot fail
+	return float64(avg)
 }
 
 // expNeg returns exp(-x) guarding the x<0 impossible case.

@@ -28,20 +28,27 @@ func TargetFromRun(name string, res *cluster.RunResult, perfGFlops float64) meth
 	}
 }
 
+// rulesHPL is the rules testbed's HPL template: an in-core GPU run with
+// a pronounced power tail, sized to rulesRuntime seconds.
+var rulesHPL = hpl.Config{
+	BlockSize:      768,
+	Nodes:          128,
+	NodePeak:       5000,
+	PeakEfficiency: 0.65,
+	TailKnee:       0.04,
+	PanelFraction:  0.02,
+	StepOverhead:   2.0,
+}
+
+// rulesRuntime is the rules testbed's core-phase target in seconds.
+const rulesRuntime = 3600
+
 // rulesCluster builds the end-to-end test machine for the rules study: a
 // 128-node GPU-style cluster running an in-core HPL with a pronounced
 // power tail, the configuration where the original Level 1 fails hardest.
 func rulesCluster(opts Options) (methodology.Target, error) {
-	hplCfg := hpl.Config{
-		BlockSize:      768,
-		Nodes:          128,
-		NodePeak:       5000,
-		PeakEfficiency: 0.65,
-		TailKnee:       0.04,
-		PanelFraction:  0.02,
-		StepOverhead:   2.0,
-	}
-	n, err := hpl.MatrixOrderForRuntime(hplCfg, 3600)
+	hplCfg := rulesHPL
+	n, err := hpl.MatrixOrderForRuntime(hplCfg, rulesRuntime)
 	if err != nil {
 		return methodology.Target{}, err
 	}

@@ -29,6 +29,10 @@ type varianceFactor struct {
 	measure func(seed uint64) (float64, error)
 }
 
+// varianceMeter is the Level-1-class instrument of the variance study:
+// ~1.25% calibration spread, 0.5% per-reading noise, 1 Hz.
+var varianceMeter = meter.Spec{GainErrorCV: 0.0125, NoiseCV: 0.005, SamplePeriod: 1}
+
 // runVarianceDecomp measures each error source in isolation and all of
 // them together, reporting standard deviations of the reported power in
 // percent of truth.
@@ -46,7 +50,6 @@ func runVarianceDecomp(_ context.Context, opts Options) (Result, error) {
 	fullRun.Timing = methodology.FullRun
 	wholeSystem := l1
 	wholeSystem.WholeSystem = true
-	meterSpec := meter.Spec{GainErrorCV: 0.0125, NoiseCV: 0.005, SamplePeriod: 1}
 
 	rel := func(m *methodology.Measurement) float64 {
 		return (float64(m.SystemPower) - float64(truth)) / float64(truth)
@@ -85,7 +88,7 @@ func runVarianceDecomp(_ context.Context, opts Options) (Result, error) {
 				spec.WholeSystem = true
 				m, err := methodology.Measure(target, spec, methodology.Options{
 					Seed:  seed,
-					Meter: meterSpec,
+					Meter: varianceMeter,
 				})
 				if err != nil {
 					return 0, err
@@ -99,7 +102,7 @@ func runVarianceDecomp(_ context.Context, opts Options) (Result, error) {
 			measure: func(seed uint64) (float64, error) {
 				m, err := methodology.Measure(target, l1, methodology.Options{
 					Seed:  seed,
-					Meter: meterSpec,
+					Meter: varianceMeter,
 				})
 				if err != nil {
 					return 0, err
@@ -113,7 +116,7 @@ func runVarianceDecomp(_ context.Context, opts Options) (Result, error) {
 			measure: func(seed uint64) (float64, error) {
 				m, err := methodology.Measure(target, methodology.RevisedLevel1(), methodology.Options{
 					Seed:  seed,
-					Meter: meterSpec,
+					Meter: varianceMeter,
 				})
 				if err != nil {
 					return 0, err

@@ -119,47 +119,70 @@ func (c Config) efficiency(m int) float64 {
 	return c.PeakEfficiency * float64(m) / (float64(m) + knee)
 }
 
+// machinePeak returns the machine's peak rate in flops/s.
+func (c Config) machinePeak() float64 {
+	return float64(c.NodePeak) * float64(c.Nodes) * 1e9
+}
+
+// steps returns the number of panel steps.
+func (c Config) steps() int {
+	return (c.MatrixOrder + c.BlockSize - 1) / c.BlockSize
+}
+
+// step is the arithmetic of panel step k, all of Step but its Start.
+// Simulate and the runtime search both take their durations from here,
+// so the search sees Simulate's CoreDuration bit for bit.
+func (c *Config) step(machinePeak float64, k int) Step {
+	nb := c.BlockSize
+	m := c.MatrixOrder - k*nb
+	width := nb
+	if m < nb {
+		width = m
+	}
+	// Trailing update: 2*width*m² flops at DGEMM efficiency.
+	updateFlops := 2 * float64(width) * float64(m) * float64(m)
+	eff := c.efficiency(m)
+	updateTime := updateFlops / (machinePeak * eff)
+	// Panel factorization + solve: ~m*width² flops at the (much
+	// lower) host rate. On accelerated systems this serial fraction
+	// dominates small trailing steps and the accelerators idle.
+	panelFlops := float64(m) * float64(width) * float64(width)
+	panelTime := panelFlops / (machinePeak * c.PanelFraction)
+	dur := updateTime + panelTime + c.StepOverhead
+	// Utilization: rate-weighted activity normalized so full-speed
+	// DGEMM on a huge trailing matrix is 1.0; the fixed overhead
+	// contributes zero activity.
+	util := (updateTime*eff + panelTime*c.PanelFraction) /
+		(dur * c.PeakEfficiency)
+	return Step{Duration: dur, Trailing: m, Utilization: util, Flops: updateFlops + panelFlops}
+}
+
+// coreDuration is Simulate(c).CoreDuration without building the steps.
+func (c Config) coreDuration() (float64, error) {
+	if err := c.Validate(); err != nil {
+		return 0, err
+	}
+	peak, nSteps := c.machinePeak(), c.steps()
+	now := 0.0
+	for k := 0; k < nSteps; k++ {
+		now += c.step(peak, k).Duration
+	}
+	return now, nil
+}
+
 // Simulate computes the full progression.
 func Simulate(c Config) (*Run, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	n := c.MatrixOrder
-	nb := c.BlockSize
-	machinePeak := float64(c.NodePeak) * float64(c.Nodes) * 1e9 // flops/s
-
-	nSteps := (n + nb - 1) / nb
-	steps := make([]Step, 0, nSteps)
+	peak, nSteps := c.machinePeak(), c.steps()
+	steps := make([]Step, nSteps)
 	now := 0.0
-	for k := 0; k < nSteps; k++ {
-		m := n - k*nb
-		width := nb
-		if m < nb {
-			width = m
-		}
-		// Trailing update: 2*width*m² flops at DGEMM efficiency.
-		updateFlops := 2 * float64(width) * float64(m) * float64(m)
-		eff := c.efficiency(m)
-		updateTime := updateFlops / (machinePeak * eff)
-		// Panel factorization + solve: ~m*width² flops at the (much
-		// lower) host rate. On accelerated systems this serial fraction
-		// dominates small trailing steps and the accelerators idle.
-		panelFlops := float64(m) * float64(width) * float64(width)
-		panelTime := panelFlops / (machinePeak * c.PanelFraction)
-		dur := updateTime + panelTime + c.StepOverhead
-		// Utilization: rate-weighted activity normalized so full-speed
-		// DGEMM on a huge trailing matrix is 1.0; the fixed overhead
-		// contributes zero activity.
-		util := (updateTime*eff + panelTime*c.PanelFraction) /
-			(dur * c.PeakEfficiency)
-		steps = append(steps, Step{
-			Start:       now,
-			Duration:    dur,
-			Trailing:    m,
-			Utilization: util,
-			Flops:       updateFlops + panelFlops,
-		})
-		now += dur
+	for k := range steps {
+		steps[k] = c.step(peak, k)
+		steps[k].Start = now
+		now += steps[k].Duration
 	}
 	nf := float64(n)
 	totalFlops := 2.0/3.0*nf*nf*nf + 1.5*nf*nf
@@ -234,11 +257,7 @@ func MatrixOrderForRuntime(template Config, target float64) (int, error) {
 		if c.BlockSize > n {
 			c.BlockSize = n
 		}
-		run, err := Simulate(c)
-		if err != nil {
-			return 0, err
-		}
-		return run.CoreDuration, nil
+		return c.coreDuration()
 	}
 	lo := template.BlockSize
 	if lo < 1 {

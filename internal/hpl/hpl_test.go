@@ -250,3 +250,40 @@ func BenchmarkSimulate(b *testing.B) {
 		}
 	}
 }
+
+// TestCoreDurationMatchesSimulate pins the runtime search's duration-only
+// loop to Simulate: over a table of shapes, including invalid ones,
+// coreDuration returns Simulate(c).CoreDuration bit for bit, or the same
+// error.
+func TestCoreDurationMatchesSimulate(t *testing.T) {
+	base := baseConfig()
+	var table []Config
+	for _, n := range []int{1, 7, 199, 200, 201, 20000, 123457} {
+		for _, nb := range []int{1, 64, 200, 768} {
+			for _, knee := range []float64{0, 0.002, 0.05} {
+				c := base
+				c.MatrixOrder, c.BlockSize, c.TailKnee = n, nb, knee
+				c.PanelFraction = 0.02 + 0.2*knee
+				c.StepOverhead = 40 * knee
+				table = append(table, c)
+			}
+		}
+	}
+	bad := base
+	bad.PeakEfficiency = 0
+	table = append(table, bad)
+	for _, c := range table {
+		got, gotErr := c.coreDuration()
+		run, wantErr := Simulate(c)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("N=%d NB=%d: error %v, want %v", c.MatrixOrder, c.BlockSize, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(run.CoreDuration) {
+			t.Fatalf("N=%d NB=%d knee=%v: coreDuration %v, Simulate %v",
+				c.MatrixOrder, c.BlockSize, c.TailKnee, got, run.CoreDuration)
+		}
+	}
+}

@@ -164,43 +164,55 @@ func gridSize(a, b, period float64) (int, error) {
 	return n, nil
 }
 
-// Measure samples the true trace over [a, b] at the instrument's period
-// and returns the reported trace. The window must lie within the trace.
+// walk reads the true trace on the instrument's grid over [a, b] and
+// hands each reported sample to emit in time order. Measure keeps the
+// samples and AveragePower only integrates them, so both see the same
+// grid, the same rng draws and the same instrument counts.
 //
 // Sample times are exactly a + i*period (each computed from the index,
 // never accumulated), so they cannot drift off the grid over long
 // windows, and the final sample at b never has a near-duplicate
 // predecessor from accumulated float error.
-func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
+func (m *Meter) walk(tr *power.Trace, a, b float64, emit func(power.Sample)) error {
 	if err := checkWindow(tr, a, b); err != nil {
-		return nil, err
+		return err
 	}
 	period := m.spec.SamplePeriod
 	n, err := gridSize(a, b, period)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]power.Sample, 0, n+1)
 	cur := tr.Cursor() // sample times only increase, so read sequentially
 	for i := 0; i < n; i++ {
 		x := a + float64(i)*period
-		out = append(out, power.Sample{Time: x, Power: m.reading(cur.At(x))})
+		emit(power.Sample{Time: x, Power: m.reading(cur.At(x))})
 	}
-	out = append(out, power.Sample{Time: b, Power: m.reading(cur.At(b))})
+	emit(power.Sample{Time: b, Power: m.reading(cur.At(b))})
 	mMeasures.Inc()
-	mSamples.Add(int64(len(out)))
+	mSamples.Add(int64(n + 1))
+	return nil
+}
+
+// Measure samples the true trace over [a, b] at the instrument's period
+// and returns the reported trace. The window must lie within the trace.
+func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
+	var out []power.Sample
+	if err := m.walk(tr, a, b, func(s power.Sample) { out = append(out, s) }); err != nil {
+		return nil, err
+	}
 	return power.NewTrace(out)
 }
 
 // AveragePower reports the instrument's time-averaged power over [a, b]
 // as computed from its discrete samples — exactly what a Level 1/2
-// submission derives.
+// submission derives. It equals Measure(tr, a, b) then Average(), bit
+// for bit and error for error, without keeping the samples.
 func (m *Meter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	measured, err := m.Measure(tr, a, b)
-	if err != nil {
+	var g power.Integrator
+	if err := m.walk(tr, a, b, g.Add); err != nil {
 		return 0, err
 	}
-	return measured.Average()
+	return g.Average()
 }
 
 // Energy reports continuously integrated energy over [a, b] through the

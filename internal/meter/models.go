@@ -145,15 +145,15 @@ func (m *WindowedMeter) Gain() float64 { return m.gain }
 func (m *WindowedMeter) Phase() float64 { return m.phase }
 
 // read reports the boxcar average ending at x, clamped to the trace
-// span, through the instrument error chain.
-func (m *WindowedMeter) read(tr *power.Trace, x float64) (power.Watts, error) {
+// span, through the instrument error chain. w reads tr.
+func (m *WindowedMeter) read(tr *power.Trace, w *power.WindowCursor, x float64) (power.Watts, error) {
 	lo := x - m.spec.Window
 	if lo < tr.Start() {
 		lo = tr.Start()
 	}
 	var v power.Watts
 	if lo < x {
-		avg, err := tr.AverageBetween(lo, x)
+		avg, err := w.AverageBetween(lo, x)
 		if err != nil {
 			return 0, err
 		}
@@ -164,23 +164,24 @@ func (m *WindowedMeter) read(tr *power.Trace, x float64) (power.Watts, error) {
 	return pipeline(float64(v), m.gain, m.spec.NoiseCV, m.spec.ResolutionWatts, m.r), nil
 }
 
-// Measure samples the true trace over [a, b] at the instrument's read
-// grid a + phase + i*Period and returns the reported trace: exactly
-// what a log of periodic nvidia-smi polls contains. Each reported
-// sample is the boxcar average over the Window ending at the read
-// instant; signal between windows is never observed. When fewer than
-// two grid reads land inside the window, boundary reads at a and b
-// stand in so the reported trace is still well-formed.
-func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
+// walk reads the true trace on the instrument's read grid
+// a + phase + i*Period over [a, b] and hands each reported sample to emit
+// in time order. Each reported sample is the boxcar average over the
+// Window ending at the read instant; signal between windows is never
+// observed. When fewer than two grid reads land inside the window,
+// boundary reads at a and b stand in so the reported trace is still
+// well-formed. Measure and AveragePower share it, so both see the same
+// grid, the same rng draws and the same instrument counts.
+func (m *WindowedMeter) walk(tr *power.Trace, a, b float64, emit func(power.Sample)) error {
 	if err := checkWindow(tr, a, b); err != nil {
-		return nil, err
+		return err
 	}
 	start := a + m.phase
 	n := 0
 	if start <= b {
 		g, err := gridSize(start, b, m.spec.Period)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n = g
 		// gridSize places samples in [start, b); a final read exactly at b
@@ -190,37 +191,51 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 			n++
 		}
 	}
-	out := make([]power.Sample, 0, n+2)
+	emitted := 0
+	w := tr.WindowCursor() // read windows only move forward
+	readAt := func(x float64) error {
+		v, err := m.read(tr, w, x)
+		if err != nil {
+			return err
+		}
+		emit(power.Sample{Time: x, Power: v})
+		emitted++
+		return nil
+	}
 	if n == 0 || start > a {
 		// The grid missed the window head (or the window entirely):
 		// anchor the reported trace with a boundary read at a.
-		v, err := m.read(tr, a)
-		if err != nil {
-			return nil, err
+		if err := readAt(a); err != nil {
+			return err
 		}
-		out = append(out, power.Sample{Time: a, Power: v})
 	}
 	for i := 0; i < n; i++ {
 		x := start + float64(i)*m.spec.Period
 		if x > b {
 			break
 		}
-		v, err := m.read(tr, x)
-		if err != nil {
-			return nil, err
+		if err := readAt(x); err != nil {
+			return err
 		}
-		out = append(out, power.Sample{Time: x, Power: v})
 	}
-	if len(out) < 2 {
+	if emitted < 2 {
 		// Degenerate tiny windows: close with a boundary read at b.
-		v, err := m.read(tr, b)
-		if err != nil {
-			return nil, err
+		if err := readAt(b); err != nil {
+			return err
 		}
-		out = append(out, power.Sample{Time: b, Power: v})
 	}
 	mMeasures.Inc()
-	mSamples.Add(int64(len(out)))
+	mSamples.Add(int64(emitted))
+	return nil
+}
+
+// Measure returns the reported trace over [a, b]: exactly what a log of
+// periodic nvidia-smi polls contains.
+func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
+	var out []power.Sample
+	if err := m.walk(tr, a, b, func(s power.Sample) { out = append(out, s) }); err != nil {
+		return nil, err
+	}
 	return power.NewTrace(out)
 }
 
@@ -228,13 +243,14 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 // samples over [a, b] — what a site derives from its nvidia-smi log.
 // Unlike the periodic sampler there is no sample pinned to either
 // boundary, so the unobserved head and tail of the window simply do
-// not contribute.
+// not contribute. It equals Measure(tr, a, b) then Average(), bit for
+// bit and error for error, without keeping the samples.
 func (m *WindowedMeter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	measured, err := m.Measure(tr, a, b)
-	if err != nil {
+	var g power.Integrator
+	if err := m.walk(tr, a, b, g.Add); err != nil {
 		return 0, err
 	}
-	return measured.Average()
+	return g.Average()
 }
 
 // Energy integrates the reported samples over the window: nvidia-smi
@@ -312,36 +328,31 @@ type OCCMeter struct {
 // Gain returns the instrument's fixed sensor-calibration multiplier.
 func (m *OCCMeter) Gain() float64 { return m.gain }
 
-// bucket is one read-out: the reported average over [lo, hi].
-type bucket struct {
-	lo, hi float64
-	v      power.Watts
-}
-
-// buckets accumulates the window into read-out buckets. Each bucket's
-// true average (exact: the internal sampling rate is far above any
-// feature of the simulated traces) passes through gain, the bounded
-// envelope draw, and read-out quantization.
-func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
+// walk accumulates the window into read-out buckets and hands each
+// bucket's span [lo, hi] and reported average v to emit in time order.
+// Each bucket's true average (exact: the internal sampling rate is far
+// above any feature of the simulated traces) passes through gain, the
+// bounded envelope draw, and read-out quantization.
+func (m *OCCMeter) walk(tr *power.Trace, a, b float64, emit func(lo, hi float64, v power.Watts)) error {
 	if err := checkWindow(tr, a, b); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := gridSize(a, b, m.spec.BucketSeconds)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Grid points a + i*B for i in [0, n) plus the endpoint b bound the
 	// buckets; the final (possibly partial) bucket always ends at b.
-	out := make([]bucket, 0, n)
+	w := tr.WindowCursor() // buckets only move forward
 	for i := 0; i < n; i++ {
 		lo := a + float64(i)*m.spec.BucketSeconds
 		hi := lo + m.spec.BucketSeconds
 		if i == n-1 || hi > b {
 			hi = b
 		}
-		avg, err := tr.AverageBetween(lo, hi)
+		avg, err := w.AverageBetween(lo, hi)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v := float64(avg) * m.gain
 		if f := m.spec.EnvelopeFrac; f > 0 {
@@ -353,9 +364,9 @@ func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
 		if v <= 0 {
 			v = 0
 		}
-		out = append(out, bucket{lo: lo, hi: hi, v: power.Watts(v)})
+		emit(lo, hi, power.Watts(v))
 	}
-	return out, nil
+	return nil
 }
 
 // Measure returns the read-out log: one sample per bucket end carrying
@@ -365,44 +376,47 @@ func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
 // of re-integrating the log — the architectural point of an
 // energy-accounting meter.
 func (m *OCCMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	bk, err := m.buckets(tr, a, b)
+	var out []power.Sample
+	err := m.walk(tr, a, b, func(_, hi float64, v power.Watts) {
+		if len(out) == 0 {
+			out = append(out, power.Sample{Time: a, Power: v})
+		}
+		out = append(out, power.Sample{Time: hi, Power: v})
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]power.Sample, 0, len(bk)+1)
-	out = append(out, power.Sample{Time: a, Power: bk[0].v})
-	for _, k := range bk {
-		out = append(out, power.Sample{Time: k.hi, Power: k.v})
 	}
 	mMeasures.Inc()
 	mSamples.Add(int64(len(out)))
 	return power.NewTrace(out)
 }
 
+// energy is the controller's own accumulation over [a, b]: each bucket's
+// reported average times its length, summed in bucket order.
+func (m *OCCMeter) energy(tr *power.Trace, a, b float64) (float64, error) {
+	var sum float64
+	err := m.walk(tr, a, b, func(lo, hi float64, v power.Watts) {
+		sum += float64(v) * (hi - lo)
+	})
+	return sum, err
+}
+
 // AveragePower reports the bucket-length-weighted average over [a, b]:
 // the controller's own accumulation, not a post-hoc integral of the
 // read-out log.
 func (m *OCCMeter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	bk, err := m.buckets(tr, a, b)
+	sum, err := m.energy(tr, a, b)
 	if err != nil {
 		return 0, err
-	}
-	var sum float64
-	for _, k := range bk {
-		sum += float64(k.v) * (k.hi - k.lo)
 	}
 	return power.Watts(sum / (b - a)), nil
 }
 
 // Energy reports the accumulated bucket energy over [a, b].
 func (m *OCCMeter) Energy(tr *power.Trace, a, b float64) (power.Joules, error) {
-	bk, err := m.buckets(tr, a, b)
+	sum, err := m.energy(tr, a, b)
 	if err != nil {
 		return 0, err
-	}
-	var sum float64
-	for _, k := range bk {
-		sum += float64(k.v) * (k.hi - k.lo)
 	}
 	return power.Joules(sum), nil
 }

@@ -1,6 +1,7 @@
 package methodology
 
 import (
+	"fmt"
 	"testing"
 
 	"nodevar/internal/cluster"
@@ -50,7 +51,7 @@ func fastPathTargets(t *testing.T) (slow, fast Target) {
 // TestMeasureFastPathsBitIdentical checks that the SubsetTrace/NodeAvg
 // fast paths change nothing observable: every reported field matches the
 // per-node-trace reference implementation bit for bit, across specs,
-// placements and biased subset selection.
+// window placements and biased subset selection.
 func TestMeasureFastPathsBitIdentical(t *testing.T) {
 	slow, fast := fastPathTargets(t)
 	specs := []Spec{
@@ -58,37 +59,46 @@ func TestMeasureFastPathsBitIdentical(t *testing.T) {
 		MustLevelSpec(Level2),
 		RevisedLevel1(),
 	}
+	placements := []WindowPlacement{PlaceRandom, PlaceEarliest, PlaceLatest, PlaceCenter, PlaceBest}
 	for _, spec := range specs {
 		for _, bias := range []bool{false, true} {
 			for seed := uint64(0); seed < 8; seed++ {
-				opts := Options{Seed: seed, BiasLowPowerNodes: bias}
-				a, err := Measure(slow, spec, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := Measure(fast, spec, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a.WindowLo != b.WindowLo || a.WindowHi != b.WindowHi {
-					t.Fatalf("%s bias=%v seed=%d: windows differ: [%v,%v] vs [%v,%v]",
-						spec.Level, bias, seed, a.WindowLo, a.WindowHi, b.WindowLo, b.WindowHi)
-				}
-				if len(a.NodeIndex) != len(b.NodeIndex) {
-					t.Fatalf("%s bias=%v seed=%d: subset sizes differ", spec.Level, bias, seed)
-				}
-				for i := range a.NodeIndex {
-					if a.NodeIndex[i] != b.NodeIndex[i] {
-						t.Fatalf("%s bias=%v seed=%d: subsets differ: %v vs %v",
-							spec.Level, bias, seed, a.NodeIndex, b.NodeIndex)
-					}
-				}
-				if a.SubsetAvg != b.SubsetAvg || a.SystemPower != b.SystemPower ||
-					a.Energy != b.Energy || a.Efficiency != b.Efficiency {
-					t.Fatalf("%s bias=%v seed=%d: reported values differ:\nslow %+v\nfast %+v",
-						spec.Level, bias, seed, a, b)
+				for _, place := range placements {
+					opts := Options{Seed: seed, BiasLowPowerNodes: bias, Placement: place}
+					checkFastPath(t, slow, fast, spec, opts)
 				}
 			}
 		}
+	}
+}
+
+// checkFastPath measures both targets with one spec and options and
+// fails unless every reported field agrees bit for bit.
+func checkFastPath(t *testing.T, slow, fast Target, spec Spec, opts Options) {
+	t.Helper()
+	a, err := Measure(slow, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Measure(fast, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("%s %+v", spec.Level, opts)
+	if a.WindowLo != b.WindowLo || a.WindowHi != b.WindowHi {
+		t.Fatalf("%s: windows differ: [%v,%v] vs [%v,%v]",
+			name, a.WindowLo, a.WindowHi, b.WindowLo, b.WindowHi)
+	}
+	if len(a.NodeIndex) != len(b.NodeIndex) {
+		t.Fatalf("%s: subset sizes differ", name)
+	}
+	for i := range a.NodeIndex {
+		if a.NodeIndex[i] != b.NodeIndex[i] {
+			t.Fatalf("%s: subsets differ: %v vs %v", name, a.NodeIndex, b.NodeIndex)
+		}
+	}
+	if a.SubsetAvg != b.SubsetAvg || a.SystemPower != b.SystemPower ||
+		a.Energy != b.Energy || a.Efficiency != b.Efficiency {
+		t.Fatalf("%s: reported values differ:\nslow %+v\nfast %+v", name, a, b)
 	}
 }

@@ -26,8 +26,11 @@ func BestWindow(tr *power.Trace, regionLo, regionHi, length float64, steps int) 
 	}
 	span := regionHi - length - regionLo
 	stride := span / float64(steps-1)
+	// Both window ends only move forward, so one walking reader replaces
+	// two binary searches per candidate with the same averages.
+	w := tr.WindowCursor()
 	bestLo := regionLo
-	bestAvg, err := tr.AverageBetween(regionLo, regionLo+length)
+	bestAvg, err := w.AverageBetween(regionLo, regionLo+length)
 	if err != nil {
 		return 0, err
 	}
@@ -36,7 +39,7 @@ func BestWindow(tr *power.Trace, regionLo, regionHi, length float64, steps int) 
 	}
 	for i := 1; i < steps; i++ {
 		lo := regionLo + float64(i)*stride
-		avg, err := tr.AverageBetween(lo, lo+length)
+		avg, err := w.AverageBetween(lo, lo+length)
 		if err != nil {
 			return 0, err
 		}

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"nodevar/internal/power"
+	"nodevar/internal/rng"
 )
 
 // Property: Level 3 with a reference instrument reproduces the true
@@ -92,5 +95,68 @@ func TestQuickBestPlacementIsMinimal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bestWindowSearch is BestWindow as it scanned before the walking reader:
+// one Trace.AverageBetween, two binary searches, per candidate.
+func bestWindowSearch(tr *power.Trace, regionLo, regionHi, length float64, steps int) (float64, error) {
+	span := regionHi - length - regionLo
+	stride := span / float64(steps-1)
+	bestLo := regionLo
+	bestAvg, err := tr.AverageBetween(regionLo, regionLo+length)
+	if err != nil || span <= 0 {
+		return bestLo, err
+	}
+	for i := 1; i < steps; i++ {
+		lo := regionLo + float64(i)*stride
+		avg, err := tr.AverageBetween(lo, lo+length)
+		if err != nil {
+			return 0, err
+		}
+		if avg < bestAvg {
+			bestAvg, bestLo = avg, lo
+		}
+	}
+	return bestLo, nil
+}
+
+// TestBestWindowMatchesSearchScan checks the walking scan against the
+// binary-search scan on seeded random traces, plateaus included so ties
+// must break the same way: the same best start, or the same error.
+func TestBestWindowMatchesSearchScan(t *testing.T) {
+	r := rng.New(1915)
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(3000)
+		samples := make([]power.Sample, n)
+		x := 1000 * r.Float64()
+		for i := range samples {
+			p := 1000 + 500*r.Float64()
+			if trial%3 == 0 {
+				p = 1000 + 100*float64(r.Intn(3)) // plateaus and exact ties
+			}
+			samples[i] = power.Sample{Time: x, Power: power.Watts(p)}
+			x += 0.01 + 3*r.Float64()
+		}
+		tr, err := power.NewTrace(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, span := tr.Start(), tr.Duration()
+		regionLo := start + 0.2*span*r.Float64()
+		regionHi := tr.End() - 0.2*span*r.Float64()
+		if trial%10 == 9 {
+			regionHi = tr.End() + 1 // windows run past the span
+		}
+		length := (regionHi - regionLo) * r.Float64()
+		steps := []int{2, 17, maxSearchSteps}[trial%3]
+		want, wantErr := bestWindowSearch(tr, regionLo, regionHi, length, steps)
+		got, gotErr := BestWindow(tr, regionLo, regionHi, length, steps)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: error %v, want %v", trial, gotErr, wantErr)
+		}
+		if got != want {
+			t.Fatalf("trial %d: best start %v, binary-search scan %v", trial, got, want)
+		}
 	}
 }

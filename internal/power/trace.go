@@ -58,8 +58,7 @@ func (t *Trace) index() *energyIndex {
 	}
 	prefix := make([]float64, len(t.samples))
 	for i := 1; i < len(t.samples); i++ {
-		a, b := t.samples[i-1], t.samples[i]
-		prefix[i] = prefix[i-1] + (float64(a.Power)+float64(b.Power))/2*(b.Time-a.Time)
+		prefix[i] = prefix[i-1] + trapezoid(t.samples[i-1], t.samples[i])
 	}
 	e := &energyIndex{prefix: prefix}
 	t.idx.Store(e)
@@ -67,13 +66,26 @@ func (t *Trace) index() *energyIndex {
 	return e
 }
 
+// trapezoid is the energy of the linear segment from a to b. The prefix
+// index and Integrator both add it left to right from 0, which is what
+// makes a streamed average bit-identical to one read off a built trace.
+func trapezoid(a, b Sample) float64 {
+	return (float64(a.Power) + float64(b.Power)) / 2 * (b.Time - a.Time)
+}
+
 // energyTo returns the cumulative energy from the trace start to time x,
 // combining the prefix table with one interpolated boundary term. x must
 // lie within [Start-ε, End+ε]; values before the first sample contribute 0.
 func (t *Trace) energyTo(e *energyIndex, x float64) float64 {
 	s := t.samples
-	// i is the last sample with Time <= x.
-	i := sort.Search(len(s), func(k int) bool { return s[k].Time > x }) - 1
+	return t.energyUpTo(e, sort.Search(len(s), func(k int) bool { return s[k].Time > x }), x)
+}
+
+// energyUpTo is energyTo with the search already done: j counts the
+// samples with Time <= x.
+func (t *Trace) energyUpTo(e *energyIndex, j int, x float64) float64 {
+	s := t.samples
+	i := j - 1
 	if i < 0 {
 		return 0
 	}
@@ -95,11 +107,16 @@ var ErrShortTrace = errors.New("power: trace needs at least 2 samples")
 func NewTrace(samples []Sample) (*Trace, error) {
 	for i := 1; i < len(samples); i++ {
 		if samples[i].Time <= samples[i-1].Time {
-			return nil, fmt.Errorf("power: non-increasing timestamp at index %d (%v after %v)",
-				i, samples[i].Time, samples[i-1].Time)
+			return nil, nonIncreasing(i, samples[i].Time, samples[i-1].Time)
 		}
 	}
 	return &Trace{samples: samples}, nil
+}
+
+// nonIncreasing is NewTrace's error for sample i not following its
+// predecessor in time.
+func nonIncreasing(i int, t, prev float64) error {
+	return fmt.Errorf("power: non-increasing timestamp at index %d (%v after %v)", i, t, prev)
 }
 
 // Append adds a sample to the end of the trace. It returns an error if the
@@ -219,15 +236,24 @@ func (t *Trace) EnergyBetween(a, b float64) (Joules, error) {
 	if a > b {
 		a, b = b, a
 	}
-	if a < t.Start()-1e-9 || b > t.End()+1e-9 {
-		return 0, fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
-			a, b, t.Start(), t.End())
+	if err := t.checkSpan(a, b); err != nil {
+		return 0, err
 	}
 	if a == b {
 		return 0, nil
 	}
 	e := t.index()
 	return Joules(t.energyTo(e, b) - t.energyTo(e, a)), nil
+}
+
+// checkSpan is EnergyBetween's test that [a, b] (a <= b) lies within
+// the trace span, give or take 1e-9 s.
+func (t *Trace) checkSpan(a, b float64) error {
+	if a < t.Start()-1e-9 || b > t.End()+1e-9 {
+		return fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
+			a, b, t.Start(), t.End())
+	}
+	return nil
 }
 
 // energyBetweenNaive is the original O(window) trapezoid scan. It is the
@@ -241,9 +267,8 @@ func (t *Trace) energyBetweenNaive(a, b float64) (Joules, error) {
 	if a > b {
 		a, b = b, a
 	}
-	if a < t.Start()-1e-9 || b > t.End()+1e-9 {
-		return 0, fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
-			a, b, t.Start(), t.End())
+	if err := t.checkSpan(a, b); err != nil {
+		return 0, err
 	}
 	if a == b {
 		return 0, nil
