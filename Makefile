@@ -6,7 +6,7 @@ CHAOS_SEEDS ?= 8
 CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,nodedrop=0.15
 
 
-.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve loadcheck obs-serve-check dist-check
+.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve loadcheck obs-serve-check dist-check loc
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,11 @@ trace:
 
 repro:
 	$(GO) run ./cmd/repro -exp all
+
+# Print the non-test Go line count that ROADMAP aim 2 tracks (tracked
+# files only, e2ebench/ included).
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | xargs cat | wc -l
 
 # Run the nodevard HTTP service locally (see README "Serving the
 # methodology"). SERVE_ADDR=127.0.0.1:0 picks an ephemeral port.

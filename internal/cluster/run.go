@@ -12,6 +12,10 @@ import (
 )
 
 // Simulator metrics: one batched add per run / subset-trace request.
+// SubsetTraceBetween is the one per-node reader methodology uses, so
+// cluster.subset_traces and cluster.subset_samples count subset
+// measurements, each pilot node read (a one-node subset) and each node
+// read of a biased low-power ranking alike.
 var (
 	mClusterRuns   = obs.NewCounter("cluster.runs")
 	mClusterTicks  = obs.NewCounter("cluster.ticks")
@@ -200,26 +204,16 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 }
 
 // NodeTrace reconstructs the wall-power trace of one node from the
-// retained per-tick state. It panics if i is out of range.
+// retained per-tick state. It is the per-node reference that
+// SubsetTraceBetween is checked against. It panics if i is out of range.
 func (r *RunResult) NodeTrace(i int) *power.Trace {
-	return r.NodeTraceInto(i, nil)
-}
-
-// NodeTraceInto is NodeTrace with a caller-supplied sample buffer: when
-// buf has sufficient capacity it is reused instead of allocating. The
-// returned trace aliases buf, so the caller must not reuse buf until it
-// is done with the trace. It panics if i is out of range.
-func (r *RunResult) NodeTraceInto(i int, buf []power.Sample) *power.Trace {
 	c := r.Cluster
 	if i < 0 || i >= c.N() {
 		panic(fmt.Sprintf("cluster: node index %d out of range [0, %d)", i, c.N()))
 	}
 	m := &c.Model
 	ns := c.nodes[i]
-	if cap(buf) < len(r.times) {
-		buf = make([]power.Sample, len(r.times))
-	}
-	samples := buf[:len(r.times)]
+	samples := make([]power.Sample, len(r.times))
 	for k, t := range r.times {
 		dc := m.IdleWatts*ns.idle*r.thermal[k] +
 			m.DynamicWatts*ns.dynamic*r.utilDyn[k]*r.thermal[k] +
@@ -295,32 +289,6 @@ func (r *RunResult) SubsetTraceBetween(idx []int, lo, hi float64) (*power.Trace,
 	mSubsetTraces.Inc()
 	mSubsetSamples.Add(int64(len(samples)))
 	return power.NewTrace(samples)
-}
-
-// NodeTraceAverage returns node i's time-averaged wall power over the run
-// — bit-identical to NodeTrace(i).Average() (power.Integrator runs the
-// same left-to-right trapezoid summation) but without materializing the
-// trace. It panics if
-// i is out of range and returns 0 for degenerate single-tick runs.
-func (r *RunResult) NodeTraceAverage(i int) float64 {
-	c := r.Cluster
-	if i < 0 || i >= c.N() {
-		panic(fmt.Sprintf("cluster: node index %d out of range [0, %d)", i, c.N()))
-	}
-	if len(r.times) < 2 {
-		return 0
-	}
-	m := &c.Model
-	ns := c.nodes[i]
-	var g power.Integrator
-	for k, t := range r.times {
-		dc := m.IdleWatts*ns.idle*r.thermal[k] +
-			m.DynamicWatts*ns.dynamic*r.utilDyn[k]*r.thermal[k] +
-			ns.fan*r.fan[k]
-		g.Add(power.Sample{Time: t, Power: m.PSU.WallPower(power.Watts(dc))})
-	}
-	avg, _ := g.Average() // times strictly increase, so it cannot fail
-	return float64(avg)
 }
 
 // expNeg returns exp(-x) guarding the x<0 impossible case.

@@ -89,37 +89,3 @@ func TestSubsetTraceRejectsBadInput(t *testing.T) {
 		t.Error("negative index accepted")
 	}
 }
-
-func TestNodeTraceAverageBitIdentical(t *testing.T) {
-	res := subsetTestRun(t)
-	for i := 0; i < res.Cluster.N(); i++ {
-		want, err := res.NodeTrace(i).Average()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.NodeTraceAverage(i); got != float64(want) {
-			t.Fatalf("node %d: NodeTraceAverage %v != NodeTrace().Average() %v", i, got, want)
-		}
-	}
-}
-
-func TestNodeTraceIntoReusesBuffer(t *testing.T) {
-	res := subsetTestRun(t)
-	buf := make([]power.Sample, 0, res.System.Len())
-	tr := res.NodeTraceInto(5, buf)
-	if &tr.Samples()[0] != &buf[:1][0] {
-		t.Error("sufficient-capacity buffer was not reused")
-	}
-	ref := res.NodeTrace(5)
-	for k, s := range tr.Samples() {
-		if s != ref.Samples()[k] {
-			t.Fatalf("sample %d differs: %+v vs %+v", k, s, ref.Samples()[k])
-		}
-	}
-	// Undersized buffers must be replaced, not overrun.
-	small := make([]power.Sample, 2)
-	tr2 := res.NodeTraceInto(5, small)
-	if tr2.Len() != ref.Len() {
-		t.Fatalf("undersized-buffer trace has %d samples, want %d", tr2.Len(), ref.Len())
-	}
-}

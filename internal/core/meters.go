@@ -30,7 +30,7 @@ const meterStudyRuntime = 1800
 // input-entropy modifier (sensitivity 0.2); entropy >= 1 runs the
 // workload unmodified. Deterministic in (sysKey, nodes, entropy, seed).
 func DistortionTarget(sysKey string, nodes int, entropy float64, seed uint64) (methodology.Target, error) {
-	spec, err := systems.ByKey(sysKey)
+	spec, err := DistortionSystem(sysKey)
 	if err != nil {
 		return methodology.Target{}, err
 	}
@@ -43,8 +43,14 @@ func DistortionTarget(sysKey string, nodes int, entropy float64, seed uint64) (m
 
 	var load workload.Workload
 	var perf float64
-	switch {
-	case strings.HasPrefix(spec.Workload, "HPL"):
+	switch spec.Workload {
+	case "MPrime":
+		load = workload.MPrime(meterStudyRuntime)
+	case "FIRESTARTER":
+		load = workload.Firestarter(meterStudyRuntime)
+	case "Rodinia CFD":
+		load = workload.RodiniaCFD(meterStudyRuntime)
+	default: // an HPL variant with a configuration, as DistortionSystem checked
 		cfg := spec.HPL
 		cfg.Nodes = nodes
 		order, err := hpl.MatrixOrderForRuntime(cfg, meterStudyRuntime)
@@ -61,14 +67,6 @@ func DistortionTarget(sysKey string, nodes int, entropy float64, seed uint64) (m
 			return methodology.Target{}, err
 		}
 		perf = float64(run.Rmax)
-	case spec.Workload == "MPrime":
-		load = workload.MPrime(meterStudyRuntime)
-	case spec.Workload == "FIRESTARTER":
-		load = workload.Firestarter(meterStudyRuntime)
-	case spec.Workload == "Rodinia CFD":
-		load = workload.RodiniaCFD(meterStudyRuntime)
-	default:
-		return methodology.Target{}, fmt.Errorf("core: no workload model for %q (%s)", spec.Workload, sysKey)
 	}
 	if entropy < 1 {
 		load, err = workload.NewEntropyScaled(load, entropy, 0.2)
@@ -112,6 +110,28 @@ func DistortionTarget(sysKey string, nodes int, entropy float64, seed uint64) (m
 		return methodology.Target{}, err
 	}
 	return TargetFromRun(spec.Name, res, perf), nil
+}
+
+// DistortionSystem returns the preset sysKey when DistortionTarget can
+// simulate it: its Table 3 workload has a model here, and an HPL system
+// carries the HPL configuration that model runs. Callers that take a
+// system key from outside (the /v1/distortion request) check it here
+// before any simulation starts.
+func DistortionSystem(sysKey string) (systems.Spec, error) {
+	spec, err := systems.ByKey(sysKey)
+	if err != nil {
+		return systems.Spec{}, err
+	}
+	switch {
+	case spec.Workload == "MPrime", spec.Workload == "FIRESTARTER", spec.Workload == "Rodinia CFD":
+	case strings.HasPrefix(spec.Workload, "HPL"):
+		if spec.HPL == (hpl.Config{}) {
+			return systems.Spec{}, fmt.Errorf("core: %s runs %s but has no HPL configuration to simulate", sysKey, spec.Workload)
+		}
+	default:
+		return systems.Spec{}, fmt.Errorf("core: no workload model for %q (%s)", spec.Workload, sysKey)
+	}
+	return spec, nil
 }
 
 // meterStudyModels returns the non-reference presets the experiment

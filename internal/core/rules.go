@@ -21,9 +21,7 @@ func TargetFromRun(name string, res *cluster.RunResult, perfGFlops float64) meth
 		Name:        name,
 		TotalNodes:  res.Cluster.N(),
 		System:      res.System,
-		NodeTrace:   res.NodeTrace,
 		SubsetTrace: res.SubsetTraceBetween,
-		NodeAvg:     res.NodeTraceAverage,
 		PerfGFlops:  perfGFlops,
 	}
 }

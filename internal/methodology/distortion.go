@@ -119,7 +119,7 @@ func CompareMeters(t Target, models []NamedModel, cfg DistortionConfig) (*Distor
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if t.NodeTrace == nil {
+	if t.SubsetTrace == nil {
 		return nil, errors.New("methodology: meter comparison needs per-node traces for the pilot phase")
 	}
 	if len(models) == 0 {
@@ -223,7 +223,11 @@ func assessModel(t Target, name string, model meter.Model, pilotIdx []int, cfg D
 		if err != nil {
 			return nil, err
 		}
-		avg, err := inst.AveragePower(t.NodeTrace(node), lo, hi)
+		tr, err := t.SubsetTrace([]int{node}, lo, hi)
+		if err != nil {
+			return nil, fmt.Errorf("pilot node %d: %w", node, err)
+		}
+		avg, err := inst.AveragePower(tr, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("pilot node %d: %w", node, err)
 		}

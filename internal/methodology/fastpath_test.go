@@ -1,12 +1,41 @@
 package methodology
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"nodevar/internal/cluster"
+	"nodevar/internal/power"
 	"nodevar/internal/rng"
+	"nodevar/internal/systems"
 )
+
+// summedNodeTraces is the reference SubsetTrace: it sums whole node
+// traces sample by sample in idx order and ignores the window. The node
+// traces must share their timestamps, as the traces of one run do.
+func summedNodeTraces(nodeTrace func(int) *power.Trace) func(idx []int, lo, hi float64) (*power.Trace, error) {
+	return func(idx []int, _, _ float64) (*power.Trace, error) {
+		if len(idx) == 0 {
+			return nil, errors.New("empty node subset")
+		}
+		out := append([]power.Sample(nil), nodeTrace(idx[0]).Samples()...)
+		for _, node := range idx[1:] {
+			s := nodeTrace(node).Samples()
+			if len(s) != len(out) {
+				return nil, errors.New("node traces not aligned")
+			}
+			for k := range out {
+				if s[k].Time != out[k].Time {
+					return nil, errors.New("node trace timestamps differ")
+				}
+				out[k].Power += s[k].Power
+			}
+		}
+		return power.NewTrace(out)
+	}
+}
 
 // steadyLoad is a constant-utilization workload for fast-path tests.
 type steadyLoad struct{ dur, util float64 }
@@ -36,22 +65,21 @@ func fastPathTargets(t *testing.T) (slow, fast Target) {
 		t.Fatal(err)
 	}
 	slow = Target{
-		Name:       "fastpath",
-		TotalNodes: 96,
-		System:     res.System,
-		NodeTrace:  res.NodeTrace,
-		PerfGFlops: 1000,
+		Name:        "fastpath",
+		TotalNodes:  96,
+		System:      res.System,
+		SubsetTrace: summedNodeTraces(res.NodeTrace),
+		PerfGFlops:  1000,
 	}
 	fast = slow
 	fast.SubsetTrace = res.SubsetTraceBetween
-	fast.NodeAvg = res.NodeTraceAverage
 	return slow, fast
 }
 
-// TestMeasureFastPathsBitIdentical checks that the SubsetTrace/NodeAvg
-// fast paths change nothing observable: every reported field matches the
-// per-node-trace reference implementation bit for bit, across specs,
-// window placements and biased subset selection.
+// TestMeasureFastPathsBitIdentical checks that cluster's windowed
+// SubsetTraceBetween reader changes nothing observable: every reported
+// field matches the reference reader that sums whole node traces, bit
+// for bit, across specs, window placements and biased subset selection.
 func TestMeasureFastPathsBitIdentical(t *testing.T) {
 	slow, fast := fastPathTargets(t)
 	specs := []Spec{
@@ -100,5 +128,40 @@ func checkFastPath(t *testing.T, slow, fast Target, spec Spec, opts Options) {
 	if a.SubsetAvg != b.SubsetAvg || a.SystemPower != b.SystemPower ||
 		a.Energy != b.Energy || a.Efficiency != b.Efficiency {
 		t.Fatalf("%s: reported values differ:\nslow %+v\nfast %+v", name, a, b)
+	}
+}
+
+// TestCompareMetersFastPathBitIdentical compares every meter preset with
+// both readers. The reference report and each model's pilot-phase
+// results (MeasuredCV, SampleSize) must match bit for bit: the pilot
+// reads each node over the whole core phase, where the windowed reader
+// returns exactly the node's samples.
+func TestCompareMetersFastPathBitIdentical(t *testing.T) {
+	slow, fast := fastPathTargets(t)
+	var models []NamedModel
+	for _, p := range systems.MeterPresets() {
+		models = append(models, NamedModel{Name: p.Key, Model: p.Model})
+	}
+	cfg := DistortionConfig{PilotNodes: 24, Seed: 2015}
+	a, err := CompareMeters(slow, models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CompareMeters(fast, models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TrueAvg != b.TrueAvg || !reflect.DeepEqual(a.Reference, b.Reference) {
+		t.Fatalf("reference reports differ:\nslow %+v\nfast %+v", a.Reference, b.Reference)
+	}
+	if len(a.Models) != len(models) || len(b.Models) != len(models) {
+		t.Fatalf("got %d and %d model reports, want %d", len(a.Models), len(b.Models), len(models))
+	}
+	for i, ma := range a.Models {
+		mb := b.Models[i]
+		if ma.MeasuredCV != mb.MeasuredCV || ma.SampleSize != mb.SampleSize {
+			t.Errorf("%s: pilot differs: CV %v vs %v, n %d vs %d",
+				ma.Name, ma.MeasuredCV, mb.MeasuredCV, ma.SampleSize, mb.SampleSize)
+		}
 	}
 }

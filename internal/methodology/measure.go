@@ -10,7 +10,7 @@ import (
 )
 
 // Target is the system under measurement: the ground-truth traces a
-// simulated run produced. NodeTrace may be nil when only whole-system
+// simulated run produced. SubsetTrace may be nil when only whole-system
 // measurements are needed.
 type Target struct {
 	// Name identifies the system.
@@ -19,20 +19,14 @@ type Target struct {
 	TotalNodes int
 	// System is the true whole-system power trace over the core phase.
 	System *power.Trace
-	// NodeTrace returns the true power trace of one node (indices
-	// 0..TotalNodes-1).
-	NodeTrace func(i int) *power.Trace
-	// SubsetTrace, when non-nil, returns the summed true trace of a node
-	// subset covering at least [lo, hi]. Reads within the window must be
-	// identical to reads on the sum of the NodeTrace outputs in idx order;
-	// providers that keep compact per-tick state (cluster.RunResult)
-	// implement it without materializing per-node traces and restrict the
-	// computed ticks to the window.
+	// SubsetTrace returns the summed true power trace of a node subset
+	// (indices 0..TotalNodes-1, summed in idx order) covering at least
+	// [lo, hi]. It is the one way node power is read: a subset
+	// measurement, each pilot node (a one-node subset) and the biased
+	// ranking all go through it. Providers that keep compact per-tick
+	// state (cluster.RunResult) build it without materializing per-node
+	// traces and restrict the computed ticks to the window.
 	SubsetTrace func(idx []int, lo, hi float64) (*power.Trace, error)
-	// NodeAvg, when non-nil, returns node i's true time-averaged power and
-	// must equal NodeTrace(i).Average(). It lets biased subset selection
-	// rank nodes without building every node trace.
-	NodeAvg func(i int) float64
 	// PerfGFlops is the benchmark performance credited to the run (for
 	// FLOPS/W efficiency).
 	PerfGFlops float64
@@ -242,28 +236,20 @@ func Measure(t Target, spec Spec, opts Options) (*Measurement, error) {
 		subsetTrace = t.System
 		m.NodeIndex = nil
 	} else {
-		if t.NodeTrace == nil && t.SubsetTrace == nil {
+		if t.SubsetTrace == nil {
 			return nil, errors.New("methodology: subset measurement needs per-node traces")
 		}
 		idx := r.SampleWithoutReplacement(t.TotalNodes, nNodes)
 		if opts.BiasLowPowerNodes {
-			idx = lowestPowerNodes(t, nNodes)
+			idx, err = lowestPowerNodes(t, nNodes)
+			if err != nil {
+				return nil, err
+			}
 		}
 		m.NodeIndex = idx
-		if t.SubsetTrace != nil {
-			subsetTrace, err = t.SubsetTrace(idx, lo, hi)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			traces := make([]*power.Trace, len(idx))
-			for i, node := range idx {
-				traces[i] = t.NodeTrace(node)
-			}
-			subsetTrace, err = sumAligned(traces)
-			if err != nil {
-				return nil, err
-			}
+		subsetTrace, err = t.SubsetTrace(idx, lo, hi)
+		if err != nil {
+			return nil, err
 		}
 		scale = float64(t.TotalNodes) / float64(nNodes)
 	}
@@ -303,20 +289,20 @@ func (m *Measurement) RelativeError(t Target) (float64, error) {
 
 // lowestPowerNodes returns the n nodes with the lowest time-averaged
 // power — deliberately biased subset selection.
-func lowestPowerNodes(t Target, n int) []int {
+func lowestPowerNodes(t Target, n int) ([]int, error) {
 	type nodeAvg struct {
 		idx int
 		avg float64
 	}
 	all := make([]nodeAvg, t.TotalNodes)
 	for i := 0; i < t.TotalNodes; i++ {
-		if t.NodeAvg != nil {
-			all[i] = nodeAvg{idx: i, avg: t.NodeAvg(i)}
-			continue
-		}
-		avg, err := t.NodeTrace(i).Average()
+		tr, err := t.SubsetTrace([]int{i}, t.System.Start(), t.System.End())
 		if err != nil {
-			avg = 0
+			return nil, err
+		}
+		avg, err := tr.Average()
+		if err != nil {
+			return nil, err
 		}
 		all[i] = nodeAvg{idx: i, avg: float64(avg)}
 	}
@@ -334,29 +320,5 @@ func lowestPowerNodes(t Target, n int) []int {
 	for i := 0; i < n; i++ {
 		out[i] = all[i].idx
 	}
-	return out
-}
-
-// sumAligned sums traces that share identical timestamps (as traces from
-// one simulated run do), avoiding the O(n·T·log T) general merge.
-func sumAligned(traces []*power.Trace) (*power.Trace, error) {
-	if len(traces) == 0 {
-		return nil, errors.New("methodology: no traces to sum")
-	}
-	base := traces[0].Samples()
-	out := make([]power.Sample, len(base))
-	copy(out, base)
-	for _, tr := range traces[1:] {
-		s := tr.Samples()
-		if len(s) != len(out) {
-			return nil, errors.New("methodology: node traces not aligned")
-		}
-		for i := range out {
-			if s[i].Time != out[i].Time {
-				return nil, errors.New("methodology: node trace timestamps differ")
-			}
-			out[i].Power += s[i].Power
-		}
-	}
-	return power.NewTrace(out)
+	return out, nil
 }

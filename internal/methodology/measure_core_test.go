@@ -39,12 +39,12 @@ func phasedTarget(t *testing.T) Target {
 		nodeTraces[i] = tr
 	}
 	return Target{
-		Name:       "phased",
-		TotalNodes: 8,
-		System:     sys,
-		NodeTrace:  func(i int) *power.Trace { return nodeTraces[i] },
-		CoreLo:     200,
-		CoreHi:     800,
+		Name:        "phased",
+		TotalNodes:  8,
+		System:      sys,
+		SubsetTrace: summedNodeTraces(func(i int) *power.Trace { return nodeTraces[i] }),
+		CoreLo:      200,
+		CoreHi:      800,
 	}
 }
 

@@ -49,11 +49,11 @@ func syntheticTarget(t *testing.T, n int, duration, base, spread float64, shape 
 		t.Fatal(err)
 	}
 	return Target{
-		Name:       "synthetic",
-		TotalNodes: n,
-		System:     sys,
-		NodeTrace:  func(i int) *power.Trace { return nodeTraces[i] },
-		PerfGFlops: 100000,
+		Name:        "synthetic",
+		TotalNodes:  n,
+		System:      sys,
+		SubsetTrace: summedNodeTraces(func(i int) *power.Trace { return nodeTraces[i] }),
+		PerfGFlops:  100000,
 	}
 }
 
@@ -271,7 +271,7 @@ func TestMeasureRejectsBadTargets(t *testing.T) {
 	}
 	// Subset measurement without node traces.
 	target := syntheticTarget(t, 640, 600, 300, 0, nil)
-	target.NodeTrace = nil
+	target.SubsetTrace = nil
 	if _, err := Measure(target, MustLevelSpec(Level1), Options{}); err == nil {
 		t.Error("subset measurement without node traces accepted")
 	}
@@ -348,18 +348,6 @@ func TestRevisedRuleKillsWindowGaming(t *testing.T) {
 	}
 	if math.Abs(rel) > 0.01 {
 		t.Errorf("revised-rule relative error under gaming attempt = %v", rel)
-	}
-}
-
-func TestSumAlignedRejectsMisaligned(t *testing.T) {
-	a, _ := power.NewTrace([]power.Sample{{Time: 0, Power: 1}, {Time: 1, Power: 1}})
-	b, _ := power.NewTrace([]power.Sample{{Time: 0, Power: 1}, {Time: 2, Power: 1}})
-	if _, err := sumAligned([]*power.Trace{a, b}); err == nil {
-		t.Error("misaligned timestamps accepted")
-	}
-	c, _ := power.NewTrace([]power.Sample{{Time: 0, Power: 1}})
-	if _, err := sumAligned([]*power.Trace{a, c}); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 

@@ -34,7 +34,10 @@ func TestForRangesCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	var seen atomic.Int64
 	err := ForRangesCtx(ctx, ranges, func(_ int, r Range) {
 		for i := r.Lo; i < r.Hi; i++ {
-			if seen.Add(1) == 50 {
+			// Every index from the 50th on cancels (cancel is idempotent):
+			// with == 50, the worker that drew 50 could be preempted before
+			// cancelling while the other worker ran every remaining chunk.
+			if seen.Add(1) >= 50 {
 				cancel()
 			}
 			atomic.AddInt64(&counts[i], 1)

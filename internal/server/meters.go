@@ -114,7 +114,7 @@ func (s *Server) distortionConfig(req DistortionRequest) (DistortionRequest, err
 		one := 1.0
 		req.Entropy = &one
 	}
-	if _, err := systems.ByKey(req.System); err != nil {
+	if _, err := core.DistortionSystem(req.System); err != nil {
 		return req, err
 	}
 	switch {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"nodevar/internal/systems"
 )
 
 func TestMetersList(t *testing.T) {
@@ -150,6 +152,28 @@ func TestDistortionValidation(t *testing.T) {
 			}
 			if code := decodeAPIError(t, body); code != tc.code {
 				t.Errorf("code = %q, want %q", code, tc.code)
+			}
+		})
+	}
+}
+
+// TestDistortionEveryPresetSystem posts every catalog system: each must
+// either run (200) or be refused as a plan the simulator cannot build
+// (400 invalid_plan), never fail inside the study with a 500.
+func TestDistortionEveryPresetSystem(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, spec := range systems.All() {
+		t.Run(spec.Key, func(t *testing.T) {
+			req := fmt.Sprintf(`{"system":%q,"nodes":8,"pilot_size":4,"meters":["occ"]}`, spec.Key)
+			resp, body := postJSON(t, ts.URL+"/v1/distortion", req)
+			switch resp.StatusCode {
+			case http.StatusOK:
+			case http.StatusBadRequest:
+				if code := decodeAPIError(t, body); code != codeInvalidPlan {
+					t.Errorf("code = %q, want %q", code, codeInvalidPlan)
+				}
+			default:
+				t.Fatalf("status = %d: %s", resp.StatusCode, body)
 			}
 		})
 	}

@@ -173,9 +173,7 @@ func SimulateMachine(cfg MachineConfig) (*Machine, error) {
 			Name:        "machine",
 			TotalNodes:  cfg.Nodes,
 			System:      res.System,
-			NodeTrace:   res.NodeTrace,
 			SubsetTrace: res.SubsetTraceBetween,
-			NodeAvg:     res.NodeTraceAverage,
 			PerfGFlops:  float64(run.Rmax),
 		},
 		NodeAverages: res.NodeAverages,
