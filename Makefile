@@ -6,7 +6,7 @@ CHAOS_SEEDS ?= 8
 CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,nodedrop=0.15
 
 
-.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve loadcheck obs-serve-check dist-check loc
+.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve obs-serve-check dist-check loc
 
 build:
 	$(GO) build ./...
@@ -124,21 +124,15 @@ SERVE_ADDR ?= :8080
 serve:
 	$(GO) run ./cmd/nodevard -addr $(SERVE_ADDR)
 
-# The distributed-serving gate: the 1-vs-4 worker loadgen scaling proof
-# (>=2x completed studies, zero 5xx). The dist package (ring, protocol,
-# worker, frontend, net-fault chaos composition) and the two-worker
-# SIGKILL failover suite with byte-identity against a single-process
-# reference across four seeds run under the race detector in `make
-# check`; the job-envelope decoder fuzz target runs in `make fuzz`.
+# The distributed-serving gate: the 1-vs-4 worker scaling proof under an
+# in-test open-loop study load (>=2x completed studies, zero 5xx). The
+# dist package (ring, protocol, worker, frontend, net-fault chaos
+# composition) and the two-worker SIGKILL failover suite with
+# byte-identity against a single-process reference across four seeds run
+# under the race detector in `make check`; the job-envelope decoder fuzz
+# target runs in `make fuzz`.
 dist-check:
 	NODEVAR_DIST_SCALE=1 $(GO) test -count=1 -run TestDistScalingGate .
-
-# The load-shedding/coalescing gate: ~120 concurrent identical coverage
-# requests against a lowered concurrency limit, under the race detector.
-# Exactly one study may execute; everything past the limit must shed
-# with 429; all served bodies must be byte-identical.
-loadcheck:
-	$(GO) test -race -count=1 -run TestServerLoad ./internal/server
 
 # The observability gate: the zero-alloc assertions and the
 # disabled-path/resolved-vec benchmarks without the race detector — the

@@ -14,6 +14,7 @@ package nodevar_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"nodevar/internal/obs"
+	"nodevar/internal/rng"
 )
 
 // lockedBuf is a Writer safe to read while the subprocess is still
@@ -303,7 +305,7 @@ func TestDistFailoverE2E(t *testing.T) {
 // NODEVAR_DIST_SCALE=1 because it holds ~12s of load.
 func TestDistScalingGate(t *testing.T) {
 	if os.Getenv("NODEVAR_DIST_SCALE") == "" {
-		t.Skip("set NODEVAR_DIST_SCALE=1 to run the loadgen scaling gate")
+		t.Skip("set NODEVAR_DIST_SCALE=1 to run the open-loop scaling gate")
 	}
 	dir := buildCmds(t)
 	nodevard := filepath.Join(dir, "nodevard")
@@ -318,21 +320,7 @@ func TestDistScalingGate(t *testing.T) {
 		t.Helper()
 		fe := startNodevard(t, nodevard, "-workers", strings.Join(workers, ","), "-probe-interval", "250ms")
 		defer fe.kill(t)
-		out, err := exec.Command(filepath.Join(dir, "loadgen"),
-			"-target", fe.url, "-rate", "20", "-duration", "5s",
-			"-first-seed", fmt.Sprint(firstSeed), "-max-5xx", "0").Output()
-		if err != nil {
-			t.Fatalf("loadgen against %d workers: %v\n%s\nfrontend stderr:\n%s",
-				len(workers), err, out, fe.stderr.String())
-		}
-		var sum struct {
-			Completed int `json:"completed"`
-			Status5xx int `json:"status_5xx"`
-		}
-		if err := json.Unmarshal(out, &sum); err != nil {
-			t.Fatalf("loadgen summary: %v\n%s", err, out)
-		}
-		return sum.Completed, sum.Status5xx
+		return openLoop(fe.url, firstSeed)
 	}
 
 	// Distinct seed ranges so the four-worker run cannot ride the shared
@@ -349,4 +337,69 @@ func TestDistScalingGate(t *testing.T) {
 	if c4 < 2*c1 {
 		t.Fatalf("4 workers completed %d studies vs %d on 1 worker; want at least 2x", c4, c1)
 	}
+}
+
+// openLoop offers base's /v1/coverage 20 studies a second for 5 s.
+// Request i fires at start + i/20 s whether or not earlier requests came
+// back — a closed loop would slow down to whatever the server can do and
+// hide the difference between one worker and four — and carries seed
+// firstSeed+i, so no two requests coalesce or hit a cache. At the end of
+// the window every request still in flight is cut off. It returns the
+// 200s completed inside the window and the 5xx answers.
+func openLoop(base string, firstSeed uint64) (completed, s5xx int) {
+	const (
+		rate   = 20
+		window = 5 * time.Second
+	)
+	// A small fixed pilot: each request's identity lives in its seed.
+	r := rng.New(424242)
+	pilot := make([]string, 12)
+	for k := range pilot {
+		pilot[k] = fmt.Sprintf("%.4f", r.Normal(209.88, 5.31))
+	}
+	start := time.Now()
+	deadline := start.Add(window)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for i := 0; ; i++ {
+		fireAt := start.Add(time.Duration(i) * time.Second / rate)
+		if !fireAt.Before(deadline) {
+			break
+		}
+		time.Sleep(time.Until(fireAt))
+		body := fmt.Sprintf(`{"pilot_data":[%s],"population":2000,"sample_sizes":[4,8],"levels":[0.9],"replicates":400,"seed":%d}`,
+			strings.Join(pilot, ","), firstSeed+uint64(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/coverage", strings.NewReader(body))
+			if err != nil {
+				return
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case resp.StatusCode == http.StatusOK && time.Now().Before(deadline):
+				completed++
+			case resp.StatusCode >= 500:
+				s5xx++
+			}
+		}()
+	}
+	wg.Wait()
+	return completed, s5xx
 }

@@ -16,8 +16,8 @@ import (
 
 // ExecFlags is the execution-control flag set. Every command-line tool
 // takes a whole-run timeout and the per-phase deadline watchdog;
-// checkpoint/resume is registered only by the commands whose study can
-// resume (repro and coverage), via RegisterCheckpoint.
+// checkpoint/resume is registered only by the command whose study can
+// resume (repro), via RegisterCheckpoint.
 type ExecFlags struct {
 	Timeout       time.Duration
 	Checkpoint    string

@@ -10,9 +10,10 @@ import (
 	"nodevar/internal/memo"
 )
 
-// TestServerLoad is the loadcheck smoke (see `make loadcheck`): ~120
-// concurrent identical /v1/coverage requests against a deliberately
-// lowered concurrency limit. The contract under load:
+// TestServerLoad is the load-shedding smoke (`make check` runs it under
+// the race detector): ~120 concurrent identical /v1/coverage requests
+// against a deliberately lowered concurrency limit. The contract under
+// load:
 //
 //   - exactly one coverage study executes (cache-miss delta == 1);
 //   - every admitted request is served the same bytes;
