@@ -1,12 +1,8 @@
 GO ?= go
-TRACE_OUT ?= trace.json
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 80
-CHAOS_SEEDS ?= 8
-CHAOS_FAULTS ?= drop=0.02,stuck=0.01,glitch=0.01,jitter=0.1,nodedrop=0.15
 
-
-.PHONY: build test vet fmt-check race check bench trace repro fuzz cover-check chaos interrupt vuln serve obs-serve-check dist-check loc
+.PHONY: build test vet fmt-check race check bench repro fuzz cover-check vuln serve obs-serve-check dist-check loc
 
 build:
 	$(GO) build ./...
@@ -46,21 +42,6 @@ cover-check:
 	  awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN{exit !(p+0 >= f)}' || { echo "FAIL: $$pkg below the $(COVER_FLOOR)% coverage floor"; exit 1; }; \
 	done
 
-# The chaos gate: the chaos command replaying the reference schedule
-# across seeds. The harness invariant tests (./internal/faults/...) run
-# under the race detector in `make check`.
-chaos:
-	$(GO) run ./cmd/chaos -seeds $(CHAOS_SEEDS) -faults "$(CHAOS_FAULTS)"
-
-# The interrupt/resume gate: the end-to-end SIGINT-then-resume test
-# against the real repro binary and the truthful-manifest checks of the
-# -checkpoint/-resume flags, without the race detector. The resumetest
-# harness (randomized seeded cancel points, resume, byte-identical final
-# output), the checkpoint codec and the signal/exit-code plumbing run
-# under the race detector in `make check`.
-interrupt:
-	$(GO) test -count=1 -run 'TestReproInterrupt|TestCheckpointFlagsTellTheTruth' .
-
 # Scan the module against the Go vulnerability database. Needs network
 # access to fetch the tool and the DB, so it is a CI gate rather than
 # part of the offline `check` target.
@@ -69,7 +50,11 @@ vuln:
 
 # The full pre-commit gate: formatting, vet, build, the test suite under
 # the race detector, every fuzz target for FUZZTIME (10s), and the
-# coverage floor.
+# coverage floor. The suite covers the chaos invariants
+# (./internal/faults/chaostest), the SIGINT-then-resume e2e against the
+# repro binary (TestReproInterrupt, TestCheckpointFlagsTellTheTruth) and
+# a repro -trace-out file checked by obs.ValidateChromeTrace
+# (TestCommandLineTools/repro).
 check: fmt-check vet build race fuzz cover-check
 
 bench:
@@ -102,13 +87,6 @@ bench-compare:
 	$(GO) run ./cmd/benchgate -current /tmp/bench-current.txt -baseline BENCH_4.json \
 	  -improve Figure3,BootstrapReplicates -min-speedup 5 -min-memratio 10 || status=1; \
 	exit $$status
-
-# Emit a Chrome trace from a real run and validate it with the same
-# checker chrome://tracing and Perfetto rely on (JSON array of complete
-# "X" events with sane timestamps).
-trace:
-	$(GO) run ./cmd/repro -exp table1 -trace-out $(TRACE_OUT) -manifest none
-	NODEVAR_TRACE_FILE=$(abspath $(TRACE_OUT)) $(GO) test ./internal/obs -run TestValidateTraceFile -count=1
 
 repro:
 	$(GO) run ./cmd/repro -exp all

@@ -45,12 +45,8 @@ import (
 
 	"nodevar/internal/cli"
 	"nodevar/internal/dist"
-	"nodevar/internal/obs"
 	"nodevar/internal/server"
 )
-
-// runtimeSampleEvery is the background runtime-gauge sampling interval.
-const runtimeSampleEvery = 10 * time.Second
 
 func main() {
 	os.Exit(realMain())
@@ -87,8 +83,6 @@ func realMain() int {
 	ctx, stop := run.Context(execFlags)
 	defer stop()
 	run.SetConfig("role", *role)
-	stopSampler := obs.StartRuntimeSampler(runtimeSampleEvery)
-	defer stopSampler()
 
 	if *role == "worker" {
 		run.SetConfig("addr", *addr)

@@ -111,6 +111,18 @@ func TestCommandLineTools(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(svgDir, "figure4_vid_efficiency.svg")); err != nil {
 			t.Errorf("missing SVG output: %v", err)
 		}
+		// A traced run emits a Chrome trace that passes the same checker
+		// chrome://tracing and Perfetto rely on.
+		tracePath := filepath.Join(dir, "trace.json")
+		run(t, bin("repro"), "-exp", "table1", "-trace-out", tracePath, "-manifest", "none")
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := obs.ValidateChromeTrace(f); err != nil {
+			t.Errorf("repro -trace-out: %v", err)
+		}
 	})
 }
 
@@ -328,7 +340,7 @@ func TestCheckpointFlagsTellTheTruth(t *testing.T) {
 	bin := func(name string) string { return filepath.Join(dir, name) }
 
 	t.Run("commands without a resumable study reject -checkpoint", func(t *testing.T) {
-		for _, name := range []string{"chaos", "green500", "powersim"} {
+		for _, name := range []string{"green500", "powersim"} {
 			out, err := exec.Command(bin(name), "-checkpoint", "x.ckpt").CombinedOutput()
 			var ee *exec.ExitError
 			if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -checkpoint") {

@@ -15,23 +15,18 @@ import (
 )
 
 // ExecFlags is the execution-control flag set. Every command-line tool
-// takes a whole-run timeout and the per-phase deadline watchdog;
-// checkpoint/resume is registered only by the command whose study can
-// resume (repro), via RegisterCheckpoint.
+// takes a whole-run timeout; checkpoint/resume is registered only by the
+// command whose study can resume (repro), via RegisterCheckpoint.
 type ExecFlags struct {
-	Timeout       time.Duration
-	Checkpoint    string
-	Resume        bool
-	PhaseDeadline time.Duration
+	Timeout    time.Duration
+	Checkpoint string
+	Resume     bool
 }
 
-// Register installs the shared flags, -timeout and -phase-deadline, on
-// fs.
+// Register installs the shared flag, -timeout, on fs.
 func (e *ExecFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&e.Timeout, "timeout", 0,
 		"cancel the run after this duration (e.g. 10m) and exit 124; 0 disables")
-	fs.DurationVar(&e.PhaseDeadline, "phase-deadline", 0,
-		"flag traced phases exceeding this duration in the manifest's watchdog section; 0 disables")
 }
 
 // RegisterCheckpoint installs -checkpoint and -resume on fs. Only a

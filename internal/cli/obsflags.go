@@ -14,12 +14,11 @@ import (
 )
 
 // ObsFlags is the observability flag set shared by every command-line
-// tool: logging verbosity and format, metric/trace/manifest output
-// paths, and the pprof debug server address.
+// tool: logging verbosity and format, trace/manifest output paths, and
+// the pprof debug server address.
 type ObsFlags struct {
 	Verbose     bool
 	LogFormat   string
-	MetricsOut  string
 	TraceOut    string
 	ManifestOut string
 	PprofAddr   string
@@ -29,10 +28,9 @@ type ObsFlags struct {
 func (o *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Verbose, "v", false, "verbose (debug-level) logging")
 	fs.StringVar(&o.LogFormat, "log-format", "text", "log format: text or json")
-	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write the final metrics snapshot as JSON to this path")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome-trace JSON (open in chrome://tracing or Perfetto) to this path")
 	fs.StringVar(&o.ManifestOut, "manifest", "auto",
-		`run manifest path ("auto" writes run-manifest.json when -metrics-out or -trace-out is set; "none" disables)`)
+		`run manifest path ("auto" writes run-manifest.json when -trace-out is set; "none" disables)`)
 	fs.StringVar(&o.PprofAddr, "pprof", "", "serve pprof and the metrics (/metrics, /debug/metrics) on this address (e.g. :6060)")
 }
 
@@ -46,13 +44,13 @@ func RegisterObsFlags() *ObsFlags {
 
 // manifestPath resolves the -manifest value: explicit paths pass
 // through, "none"/"" disable, and "auto" enables run-manifest.json only
-// when some other observability output was requested.
+// when a trace was requested.
 func (o *ObsFlags) manifestPath() string {
 	switch o.ManifestOut {
 	case "", "none":
 		return ""
 	case "auto":
-		if o.MetricsOut != "" || o.TraceOut != "" {
+		if o.TraceOut != "" {
 			return "run-manifest.json"
 		}
 		return ""
@@ -63,8 +61,8 @@ func (o *ObsFlags) manifestPath() string {
 
 // Run is one observed command invocation: a structured logger, the
 // process tracer (nil unless tracing or a manifest was requested), and
-// the bookkeeping needed to emit the metrics snapshot, Chrome trace and
-// run manifest at Finish time.
+// the bookkeeping needed to emit the Chrome trace and run manifest at
+// Finish time.
 type Run struct {
 	// Log is the command's structured logger (never nil).
 	Log *slog.Logger
@@ -132,9 +130,9 @@ func (r *Run) SetConfig(key string, value any) {
 	r.config[key] = value
 }
 
-// Finish emits the requested artifacts: the metrics snapshot
-// (-metrics-out), the Chrome trace (-trace-out) and the run manifest
-// (-manifest). It returns the first error encountered but attempts all
+// Finish emits the requested artifacts: the Chrome trace (-trace-out)
+// and the run manifest (-manifest), which carries the final metrics
+// snapshot. It returns the first error encountered but attempts both
 // outputs.
 func (r *Run) Finish() error {
 	var firstErr error
@@ -142,11 +140,6 @@ func (r *Run) Finish() error {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	if p := r.flags.MetricsOut; p != "" {
-		snap := obs.Default().Snapshot()
-		fail(writeFile(p, snap.WriteJSON))
-		r.Log.Debug("metrics snapshot written", "path", p)
 	}
 	if p := r.flags.TraceOut; p != "" && r.Tracer != nil {
 		fail(writeFile(p, r.Tracer.WriteChromeTrace))
@@ -167,7 +160,6 @@ func (r *Run) Finish() error {
 				Signal:     r.signal,
 			}
 		}
-		m.Watchdog = obs.NewWatchdogSection(r.Tracer, r.exec.PhaseDeadline)
 		r.mu.Unlock()
 		fail(writeFile(p, m.WriteJSON))
 		r.Log.Debug("run manifest written", "path", p, "version", m.Version, "status", m.Status)

@@ -23,7 +23,7 @@ func parseObs(t *testing.T, args ...string) *ObsFlags {
 
 func TestObsFlagDefaults(t *testing.T) {
 	o := parseObs(t)
-	if o.Verbose || o.LogFormat != "text" || o.MetricsOut != "" || o.TraceOut != "" ||
+	if o.Verbose || o.LogFormat != "text" || o.TraceOut != "" ||
 		o.ManifestOut != "auto" || o.PprofAddr != "" {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
@@ -34,17 +34,16 @@ func TestObsFlagDefaults(t *testing.T) {
 
 func TestManifestPathResolution(t *testing.T) {
 	cases := []struct {
-		manifest, metrics, trace, want string
+		manifest, trace, want string
 	}{
-		{"auto", "", "", ""},
-		{"auto", "m.json", "", "run-manifest.json"},
-		{"auto", "", "t.json", "run-manifest.json"},
-		{"none", "m.json", "t.json", ""},
-		{"", "m.json", "", ""},
-		{"custom.json", "", "", "custom.json"},
+		{"auto", "", ""},
+		{"auto", "t.json", "run-manifest.json"},
+		{"none", "t.json", ""},
+		{"", "t.json", ""},
+		{"custom.json", "", "custom.json"},
 	}
 	for _, c := range cases {
-		o := &ObsFlags{ManifestOut: c.manifest, MetricsOut: c.metrics, TraceOut: c.trace}
+		o := &ObsFlags{ManifestOut: c.manifest, TraceOut: c.trace}
 		if got := o.manifestPath(); got != c.want {
 			t.Errorf("manifestPath(%+v) = %q, want %q", c, got, c.want)
 		}
@@ -60,12 +59,11 @@ func TestStartRejectsBadLogFormat(t *testing.T) {
 
 // TestRunFinishWritesArtifacts drives the full flag-to-file path: Start
 // installs a tracer, spans and metrics accumulate, Finish writes a
-// valid metrics snapshot, Chrome trace, and run manifest.
+// valid Chrome trace and a run manifest carrying the metrics snapshot.
 func TestRunFinishWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	o := parseObs(t,
 		"-v", "-log-format", "json",
-		"-metrics-out", filepath.Join(dir, "m.json"),
 		"-trace-out", filepath.Join(dir, "t.json"),
 		"-manifest", filepath.Join(dir, "manifest.json"),
 	)
@@ -90,12 +88,6 @@ func TestRunFinishWritesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap obs.Snapshot
-	mustUnmarshal(t, filepath.Join(dir, "m.json"), &snap)
-	if snap.Counters["cli_test.counter"] < 1 {
-		t.Errorf("metrics snapshot missing counter: %+v", snap.Counters)
-	}
-
 	f, err := os.Open(filepath.Join(dir, "t.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +107,12 @@ func TestRunFinishWritesArtifacts(t *testing.T) {
 	}
 	if m.Version == "" {
 		t.Error("manifest version empty")
+	}
+	if m.Metrics.Counters["cli_test.counter"] < 1 {
+		t.Errorf("manifest metrics missing counter: %+v", m.Metrics.Counters)
+	}
+	if m.Metrics.Gauges["runtime.goroutines"] < 1 {
+		t.Errorf("manifest runtime gauges not sampled: %+v", m.Metrics.Gauges)
 	}
 	if v, ok := m.Config["seed"]; !ok || v != float64(2015) {
 		t.Errorf("manifest config seed = %v", v)

@@ -25,35 +25,16 @@ import (
 	"nodevar/internal/rng"
 )
 
-// Scenario is one chaos experiment: a small simulated machine plus the
-// fault schedule to unleash on its measurement.
-type Scenario struct {
-	// Nodes is the cluster size (default 16).
-	Nodes int
-	// DurationSec is the core-phase length (default 600).
-	DurationSec float64
-	// Util is the constant machine utilization (default 0.8).
-	Util float64
-	// Schedule is the fault schedule; its seed also seeds the cluster,
-	// so one integer reproduces the whole scenario.
-	Schedule faults.Schedule
-}
+// The simulated machine every scenario measures: a small cluster at
+// constant utilization. Only the fault schedule varies.
+const (
+	scenarioNodes       = 16
+	scenarioDurationSec = 600
+	scenarioUtil        = 0.8
+)
 
-func (sc Scenario) withDefaults() Scenario {
-	if sc.Nodes == 0 {
-		sc.Nodes = 16
-	}
-	if sc.DurationSec == 0 {
-		sc.DurationSec = 600
-	}
-	if sc.Util == 0 {
-		sc.Util = 0.8
-	}
-	return sc
-}
-
-// Outcome is everything a scenario produced, deterministic in the
-// scenario. Text is a fixed rendering for byte-for-byte replay checks.
+// Outcome is everything a scenario produced, deterministic in its
+// schedule. Text is a fixed rendering for byte-for-byte replay checks.
 type Outcome struct {
 	// HealthyAvg is the fault-free whole-system average wall power.
 	HealthyAvg power.Watts
@@ -110,25 +91,25 @@ type constLoad struct{ dur, util float64 }
 func (l constLoad) CoreDuration() float64       { return l.dur }
 func (l constLoad) Utilization(float64) float64 { return l.util }
 
-// Run executes the scenario. Everything downstream of the cluster
-// simulation exercises the degradation-tolerant pipeline; with a zero
-// schedule every stage is a strict pass-through and the outcome's
-// degraded estimate is bit-identical to the healthy one.
-func Run(sc Scenario) (*Outcome, error) {
-	sc = sc.withDefaults()
-	if err := sc.Schedule.Validate(); err != nil {
+// Run executes one scenario: simulate the machine, then inject sched
+// into its measurement. Everything downstream of the cluster simulation
+// exercises the degradation-tolerant pipeline; with a zero schedule
+// every stage is a strict pass-through and the outcome's degraded
+// estimate is bit-identical to the healthy one.
+func Run(sched faults.Schedule) (*Outcome, error) {
+	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
 
 	// Simulate the machine. The cluster seed derives from the schedule
 	// seed so a single integer replays the scenario.
-	c, err := cluster.New("chaos", sc.Nodes, chaosModel(),
+	c, err := cluster.New("chaos", scenarioNodes, chaosModel(),
 		cluster.Variation{IdleCV: 0.01, DynamicCV: 0.025, FanCV: 0.05, OutlierFraction: 0.01},
-		22, rng.New(sc.Schedule.Seed^0x9e3779b97f4a7c15))
+		22, rng.New(sched.Seed^0x9e3779b97f4a7c15))
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.Run(c, constLoad{dur: sc.DurationSec, util: sc.Util}, cluster.RunOptions{SamplePeriod: 1})
+	res, err := cluster.Run(c, constLoad{dur: scenarioDurationSec, util: scenarioUtil}, cluster.RunOptions{SamplePeriod: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +121,7 @@ func Run(sc Scenario) (*Outcome, error) {
 	}
 
 	// Layer 1: whole-node dropouts retire nodes from the aggregation.
-	outages := sc.Schedule.NodeOutages(sc.Nodes, res.Duration)
+	outages := sched.NodeOutages(scenarioNodes, res.Duration)
 	clusterOut := make([]cluster.NodeOutage, len(outages))
 	for i, o := range outages {
 		clusterOut[i] = cluster.NodeOutage{Node: o.Node, At: o.At}
@@ -152,7 +133,7 @@ func Run(sc Scenario) (*Outcome, error) {
 	out.Quality = quality
 
 	// Layer 2: trace-level faults corrupt the aggregated measurement.
-	tr, rep, err := sc.Schedule.Apply(res.System)
+	tr, rep, err := sched.Apply(res.System)
 	if err != nil {
 		return nil, err
 	}

@@ -8,26 +8,35 @@ import (
 	"nodevar/internal/faults"
 )
 
-// chaosSeeds are the 8 seeds the CI chaos job replays.
-var chaosSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34}
+// chaosSeeds are the seeds every invariant replays: 1..8 plus the
+// Fibonacci tail {13, 21, 34}.
+var chaosSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8, 13, 21, 34}
 
-// chaosSchedule is the reference all-classes-on schedule.
-func chaosSchedule(seed uint64) faults.Schedule {
-	return faults.Schedule{
-		Seed:           seed,
-		SampleDropRate: 0.02,
-		StuckRate:      0.01,
-		GlitchRate:     0.01,
-		QuantizeWatts:  5,
-		ClockJitter:    0.1,
-		NodeDropRate:   0.15,
+// chaosCases are the (schedule, seed) pairs the fault invariants check:
+// each seed under the all-classes-on reference schedule (drop, stuck,
+// glitch, jitter, node dropout), with and without 5 W re-quantization.
+func chaosCases() []faults.Schedule {
+	var out []faults.Schedule
+	for _, seed := range chaosSeeds {
+		s := faults.Schedule{
+			Seed:           seed,
+			SampleDropRate: 0.02,
+			StuckRate:      0.01,
+			GlitchRate:     0.01,
+			ClockJitter:    0.1,
+			NodeDropRate:   0.15,
+		}
+		out = append(out, s)
+		s.QuantizeWatts = 5
+		out = append(out, s)
 	}
+	return out
 }
 
 // Invariant 1: the no-fault path is bit-identical to the healthy path.
 func TestInvariantZeroScheduleBitIdentical(t *testing.T) {
 	for _, seed := range chaosSeeds {
-		out, err := Run(Scenario{Schedule: faults.Schedule{Seed: seed}})
+		out, err := Run(faults.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -49,22 +58,21 @@ func TestInvariantZeroScheduleBitIdentical(t *testing.T) {
 
 // Invariant 2: a scenario replays byte-identically from its seed.
 func TestInvariantSeededReplayIdentical(t *testing.T) {
-	for _, seed := range chaosSeeds {
-		sc := Scenario{Schedule: chaosSchedule(seed)}
-		a, err := Run(sc)
+	for _, sched := range chaosCases() {
+		a, err := Run(sched)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", sched, err)
 		}
-		b, err := Run(sc)
+		b, err := Run(sched)
 		if err != nil {
-			t.Fatalf("seed %d replay: %v", seed, err)
+			t.Fatalf("%s replay: %v", sched, err)
 		}
 		if a.Text() != b.Text() {
-			t.Errorf("seed %d: replay diverged:\n--- first\n%s--- second\n%s",
-				seed, a.Text(), b.Text())
+			t.Errorf("%s: replay diverged:\n--- first\n%s--- second\n%s",
+				sched, a.Text(), b.Text())
 		}
 		if a.DegradedAvg != b.DegradedAvg || a.HealthyAvg != b.HealthyAvg {
-			t.Errorf("seed %d: replay averages differ", seed)
+			t.Errorf("%s: replay averages differ", sched)
 		}
 	}
 }
@@ -72,11 +80,12 @@ func TestInvariantSeededReplayIdentical(t *testing.T) {
 // Invariant 3: runs that lost data are flagged, with completeness, all
 // the way up to the methodology assessment.
 func TestInvariantDegradedRunsFlagged(t *testing.T) {
+	cases := chaosCases()
 	flagged := 0
-	for _, seed := range chaosSeeds {
-		out, err := Run(Scenario{Schedule: chaosSchedule(seed)})
+	for _, sched := range cases {
+		out, err := Run(sched)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", sched, err)
 		}
 		if !out.Report.Injected() {
 			// Statistically possible for one seed; the loop-level check
@@ -85,20 +94,20 @@ func TestInvariantDegradedRunsFlagged(t *testing.T) {
 		}
 		flagged++
 		if !out.Degraded {
-			t.Errorf("seed %d: faults landed but outcome not degraded:\n%s", seed, out.Report)
+			t.Errorf("%s: faults landed but outcome not degraded:\n%s", sched, out.Report)
 		}
 		if !out.Assessment.Degraded {
-			t.Errorf("seed %d: degraded run, clean assessment: %s", seed, out.Assessment)
+			t.Errorf("%s: degraded run, clean assessment: %s", sched, out.Assessment)
 		}
 		if !strings.Contains(out.Assessment.String(), "DEGRADED") {
-			t.Errorf("seed %d: assessment hides degradation: %s", seed, out.Assessment)
+			t.Errorf("%s: assessment hides degradation: %s", sched, out.Assessment)
 		}
 		if out.Completeness >= 1 || out.Completeness <= 0 {
-			t.Errorf("seed %d: implausible completeness %v", seed, out.Completeness)
+			t.Errorf("%s: implausible completeness %v", sched, out.Completeness)
 		}
 	}
-	if flagged < len(chaosSeeds)-1 {
-		t.Errorf("only %d of %d chaos seeds injected anything", flagged, len(chaosSeeds))
+	if flagged < len(cases)-1 {
+		t.Errorf("only %d of %d chaos cases injected anything", flagged, len(cases))
 	}
 }
 
@@ -106,25 +115,25 @@ func TestInvariantDegradedRunsFlagged(t *testing.T) {
 // estimate differs from the healthy one, the outcome says so, and the
 // estimate stays finite and physically sane.
 func TestInvariantNoSilentWrongAnswer(t *testing.T) {
-	for _, seed := range chaosSeeds {
-		out, err := Run(Scenario{Schedule: chaosSchedule(seed)})
+	for _, sched := range chaosCases() {
+		out, err := Run(sched)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", sched, err)
 		}
 		if out.DegradedAvg != out.HealthyAvg && !out.Degraded {
-			t.Errorf("seed %d: answer changed (%v vs %v) with no degradation flag",
-				seed, out.DegradedAvg, out.HealthyAvg)
+			t.Errorf("%s: answer changed (%v vs %v) with no degradation flag",
+				sched, out.DegradedAvg, out.HealthyAvg)
 		}
 		d := float64(out.DegradedAvg)
 		if math.IsNaN(d) || math.IsInf(d, 0) || d <= 0 {
-			t.Errorf("seed %d: degraded estimate %v is not a usable number", seed, d)
+			t.Errorf("%s: degraded estimate %v is not a usable number", sched, d)
 		}
 		// Sanitization plus gap tolerance must keep the estimate in the
 		// right ballpark even under the full fault barrage: spikes are
 		// rare and bounded, so anything beyond 2x is a pipeline bug, not
 		// an injected artifact.
 		if h := float64(out.HealthyAvg); d < h/2 || d > h*2 {
-			t.Errorf("seed %d: degraded estimate %v wildly off healthy %v", seed, d, h)
+			t.Errorf("%s: degraded estimate %v wildly off healthy %v", sched, d, h)
 		}
 	}
 }

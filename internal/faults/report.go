@@ -43,30 +43,6 @@ type Report struct {
 	Completeness float64 `json:"completeness"`
 }
 
-// Merge accumulates another report's counts into r (keeping r's seed and
-// schedule) and returns r. Completeness combines as the minimum: a
-// pipeline is only as complete as its worst stage.
-func (r *Report) Merge(o *Report) *Report {
-	if o == nil {
-		return r
-	}
-	r.SamplesIn += o.SamplesIn
-	r.SamplesOut += o.SamplesOut
-	r.DropWindows += o.DropWindows
-	r.DroppedSamples += o.DroppedSamples
-	r.StuckWindows += o.StuckWindows
-	r.StuckSamples += o.StuckSamples
-	r.GlitchNaN += o.GlitchNaN
-	r.GlitchSpike += o.GlitchSpike
-	r.JitteredSamples += o.JitteredSamples
-	r.QuantizedSamples += o.QuantizedSamples
-	r.NodesDropped += o.NodesDropped
-	if o.Completeness < r.Completeness {
-		r.Completeness = o.Completeness
-	}
-	return r
-}
-
 // Injected reports whether any fault actually landed.
 func (r *Report) Injected() bool {
 	return r.DroppedSamples > 0 || r.StuckSamples > 0 || r.GlitchNaN > 0 ||

@@ -14,10 +14,11 @@ import (
 
 // ManifestSchema identifies the manifest layout; bump on breaking
 // changes. v3 added the run status plus the optional "exec" (timeout,
-// checkpoint, signal) and "watchdog" (per-phase deadline overruns)
-// sections; v2 added the optional "faults" section describing injected
-// faults and the resulting data completeness. Both earlier schemas are
-// still readable via ReadManifest.
+// checkpoint, signal) section; v2 added the optional "faults" section
+// describing injected faults and the resulting data completeness. Both
+// earlier schemas are still readable via ReadManifest, and keys that no
+// longer exist (v3's former "watchdog" section, v2's meter_* fault
+// counts) are ignored.
 const (
 	ManifestSchema   = "nodevar/run-manifest/v3"
 	ManifestSchemaV2 = "nodevar/run-manifest/v2"
@@ -67,9 +68,6 @@ type FaultsSection struct {
 	StuckWindows   int `json:"stuck_windows,omitempty"`
 	GlitchNaN      int `json:"glitch_nan,omitempty"`
 	GlitchSpike    int `json:"glitch_spike,omitempty"`
-	MeterFailures  int `json:"meter_failures,omitempty"`
-	MeterRetries   int `json:"meter_retries,omitempty"`
-	MeterGiveUps   int `json:"meter_giveups,omitempty"`
 	NodesDropped   int `json:"nodes_dropped,omitempty"`
 }
 
@@ -110,9 +108,6 @@ type Manifest struct {
 	// Exec is the execution-control envelope (v3; nil when no timeout,
 	// checkpoint or signal was involved).
 	Exec *ExecSection `json:"exec,omitempty"`
-	// Watchdog reports phases that overran the configured per-phase
-	// deadline (v3; nil when no deadline was set).
-	Watchdog *WatchdogSection `json:"watchdog,omitempty"`
 }
 
 // WriteJSON writes the manifest as indented JSON.
@@ -124,7 +119,7 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 
 // ReadManifest parses a manifest written by this or an earlier version
 // of the tool. It accepts the current v3 schema, the v2 schema (no
-// status/exec/watchdog) and the v1 schema (additionally no faults
+// status/exec) and the v1 schema (additionally no faults
 // section); any other schema string — or an older schema carrying
 // newer-schema sections — is an error.
 func ReadManifest(r io.Reader) (*Manifest, error) {
@@ -143,11 +138,11 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 			}
 		}
 	case ManifestSchemaV2:
-		if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
+		if m.Status != "" || m.Exec != nil {
 			return nil, fmt.Errorf("obs: %s manifest carries v3 sections", ManifestSchemaV2)
 		}
 	case ManifestSchemaV1:
-		if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
+		if m.Status != "" || m.Exec != nil {
 			return nil, fmt.Errorf("obs: %s manifest carries v3 sections", ManifestSchemaV1)
 		}
 		if m.Faults != nil {
@@ -208,8 +203,10 @@ func detectVersion() string {
 }
 
 // NewManifest assembles a manifest for a finished run. tracer may be
-// nil; metrics come from the default registry.
+// nil; metrics come from the default registry, with the runtime gauges
+// refreshed first.
 func NewManifest(command string, args []string, config map[string]any, start time.Time, tracer *Tracer) *Manifest {
+	SampleRuntime()
 	end := time.Now()
 	m := &Manifest{
 		Schema:      ManifestSchema,

@@ -47,9 +47,6 @@ func degradedManifest() *Manifest {
 			Degraded:       true,
 			DropWindows:    4,
 			DroppedSamples: 37,
-			MeterFailures:  3,
-			MeterRetries:   2,
-			MeterGiveUps:   1,
 		},
 	}
 }
@@ -66,8 +63,7 @@ func v1Manifest() *Manifest {
 }
 
 // interruptedManifest builds the fixed manifest the v3 golden file
-// pins: a run ended by SIGINT with a checkpoint in play and a phase
-// over its deadline.
+// pins: a run ended by SIGINT with a checkpoint in play.
 func interruptedManifest() *Manifest {
 	m := degradedManifest()
 	m.Schema = ManifestSchema
@@ -80,12 +76,6 @@ func interruptedManifest() *Manifest {
 		Checkpoint: "fig3.ckpt",
 		Resumed:    true,
 		Signal:     "interrupt",
-	}
-	m.Watchdog = &WatchdogSection{
-		PhaseDeadlineSec: 60,
-		Overruns: []PhaseOverrun{
-			{Cat: "sim", Name: "run", MaxMS: 80000, DeadlineMS: 60000},
-		},
 	}
 	return m
 }
@@ -131,10 +121,6 @@ func TestManifestV3Golden(t *testing.T) {
 		!m.Exec.Resumed || m.Exec.TimeoutSec != 600 {
 		t.Errorf("exec section round-trip: %+v", m.Exec)
 	}
-	if m.Watchdog == nil || m.Watchdog.PhaseDeadlineSec != 60 ||
-		len(m.Watchdog.Overruns) != 1 || m.Watchdog.Overruns[0].Name != "run" {
-		t.Errorf("watchdog section round-trip: %+v", m.Watchdog)
-	}
 }
 
 func TestManifestV2BackCompat(t *testing.T) {
@@ -147,7 +133,7 @@ func TestManifestV2BackCompat(t *testing.T) {
 	if m.Schema != ManifestSchemaV2 {
 		t.Errorf("schema %q", m.Schema)
 	}
-	if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
+	if m.Status != "" || m.Exec != nil {
 		t.Errorf("v2 manifest grew v3 sections: %+v", m)
 	}
 	f := m.Faults
@@ -155,7 +141,7 @@ func TestManifestV2BackCompat(t *testing.T) {
 		t.Fatal("degraded manifest lost its faults section")
 	}
 	if f.Seed != 7 || !f.Degraded || f.Completeness != 0.9417 ||
-		f.DroppedSamples != 37 || f.MeterGiveUps != 1 {
+		f.DroppedSamples != 37 {
 		t.Errorf("faults section round-trip: %+v", f)
 	}
 	if f.Schedule != "seed=7 drop=0.01 meterdrop=0.05" {
@@ -178,6 +164,30 @@ func TestManifestV1BackCompat(t *testing.T) {
 	}
 	if m.Command != "powersim" || m.DurationSec != 90 {
 		t.Errorf("v1 fields lost: %+v", m)
+	}
+}
+
+// TestReadManifestIgnoresRetiredKeys: manifests written before the
+// meter_* fault counts and the v3 watchdog section were dropped still
+// parse, with the retired keys ignored and everything else intact.
+func TestReadManifestIgnoresRetiredKeys(t *testing.T) {
+	v2 := `{"schema":"nodevar/run-manifest/v2","faults":{"seed":7,"completeness":0.9,"degraded":true,` +
+		`"dropped_samples":37,"meter_failures":3,"meter_retries":2,"meter_giveups":1}}`
+	m, err := ReadManifest(strings.NewReader(v2))
+	if err != nil {
+		t.Fatalf("v2 manifest with meter_giveups: %v", err)
+	}
+	if m.Faults == nil || m.Faults.Seed != 7 || m.Faults.DroppedSamples != 37 {
+		t.Errorf("v2 faults section: %+v", m.Faults)
+	}
+	v3 := `{"schema":"nodevar/run-manifest/v3","status":"interrupted","exec":{"signal":"interrupt"},` +
+		`"watchdog":{"phase_deadline_sec":60,"overruns":[{"cat":"sim","name":"run","max_ms":80000,"deadline_ms":60000}]}}`
+	m, err = ReadManifest(strings.NewReader(v3))
+	if err != nil {
+		t.Fatalf("v3 manifest with a watchdog section: %v", err)
+	}
+	if m.Status != StatusInterrupted || m.Exec == nil || m.Exec.Signal != "interrupt" {
+		t.Errorf("v3 manifest: status %q exec %+v", m.Status, m.Exec)
 	}
 }
 

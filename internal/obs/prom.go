@@ -270,11 +270,13 @@ func PromHandler() http.Handler {
 }
 
 // HandleDebug mounts the shared diagnostics routes on mux: Prometheus
-// text at /metrics, the JSON registry snapshot at /debug/metrics, and
-// net/http/pprof under /debug/pprof/.
+// text at /metrics, the JSON registry snapshot at /debug/metrics (both
+// refresh the runtime gauges first), and net/http/pprof under
+// /debug/pprof/.
 func HandleDebug(mux *http.ServeMux) {
 	mux.Handle("GET /metrics", PromHandler())
 	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
+		SampleRuntime()
 		w.Header().Set("Content-Type", "application/json")
 		Default().Snapshot().WriteJSON(w)
 	})

@@ -1,15 +1,10 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
 // Runtime gauges: a small Go-runtime profile (goroutines, heap, GC)
-// refreshed by SampleRuntime. PromHandler samples on every scrape;
-// long-running binaries that only snapshot to manifests can run
-// StartRuntimeSampler instead.
+// refreshed by SampleRuntime. Every reader samples first: PromHandler
+// and /debug/metrics on each request, NewManifest once per manifest.
 var (
 	gGoroutines   = NewGauge("runtime.goroutines")
 	gHeapAlloc    = NewGauge("runtime.heap_alloc_bytes")
@@ -37,28 +32,4 @@ func SampleRuntime() {
 		gLastGCPause.Set(float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9)
 	}
 	gNextGC.Set(float64(ms.NextGC))
-}
-
-// StartRuntimeSampler samples the runtime gauges immediately and then
-// every interval until the returned stop function is called.
-func StartRuntimeSampler(every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = 10 * time.Second
-	}
-	SampleRuntime()
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				SampleRuntime()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // cacheCounters reads the calibration-cache metrics as they appear in
-// the default registry's snapshot — the same view -metrics-out and
-// expvar export.
+// the default registry's snapshot — the same view the run manifest's
+// metrics and /debug/metrics export.
 func cacheCounters(t *testing.T) (hits, misses, resets, evictions int64) {
 	t.Helper()
 	c := obs.Default().Snapshot().Counters
