@@ -7,6 +7,7 @@ package nodevar_test
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +49,10 @@ func run(t *testing.T, bin string, args ...string) string {
 	}
 	return string(out)
 }
+
+// reproAllSHA256 is the sha256 of `repro -exp all` stdout at the
+// default options.
+const reproAllSHA256 = "2afc75490df64ef1c6367de2bde556e50724c8334af6907ca702579c30bda4ea"
 
 func TestCommandLineTools(t *testing.T) {
 	dir := buildCmds(t)
@@ -91,6 +96,16 @@ func TestCommandLineTools(t *testing.T) {
 	})
 
 	t.Run("repro", func(t *testing.T) {
+		// The whole pipeline's stdout is pinned, so a change meant to
+		// keep the output bit-identical is checked here; a deliberate
+		// output change updates reproAllSHA256 in the same commit.
+		all, err := exec.Command(bin("repro"), "-exp", "all").Output()
+		if err != nil {
+			t.Fatalf("repro -exp all: %v", err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(all)); got != reproAllSHA256 {
+			t.Errorf("repro -exp all stdout sha256 = %s, want %s", got, reproAllSHA256)
+		}
 		svgDir := filepath.Join(dir, "svg")
 		outDir := filepath.Join(dir, "csv")
 		mdPath := filepath.Join(dir, "tables.md")
@@ -238,8 +253,8 @@ func TestReproInterrupt(t *testing.T) {
 
 	// Enough replicates that the study cannot finish before the signal
 	// lands: the first checkpoint flush comes after 8 of 64 chunks, and
-	// the other 56 take about 10 s on a 2-vCPU guest (the whole run about
-	// 12 s), so a loaded host still has seconds to deliver the SIGINT.
+	// the other 56 take about 6 s on a 2-vCPU guest (the whole run about
+	// 7 s), so a loaded host still has seconds to deliver the SIGINT.
 	cmd := exec.Command(filepath.Join(dir, "repro"),
 		"-exp", "figure3", "-replicates", interruptReplicates,
 		"-checkpoint", ckpt, "-manifest", manifest)

@@ -23,8 +23,8 @@ func TestBootstrapTablesGolden(t *testing.T) {
 		id   ID
 		want string
 	}{
-		{Ablation, "1dfb9c033b6187d1376187543a0f44a3e628f3b313c617316cef9968c158c5e7"},
-		{Figure3, "55ecce12d0db96a75661350c4a6e98c93d1edbc88e86c0bfc3985d11f614140d"},
+		{Ablation, "c460a1f9dd6807b288bd9af90827617f7751b3d1ab4afec6a62081d1dc512c1a"},
+		{Figure3, "11e344de8595970ee3bbd816aa9297ed8c2d81ed9a8872722ccd38be5b132807"},
 	}
 	for _, g := range golden {
 		res, err := Run(g.id, opts)

@@ -8,7 +8,7 @@ import (
 
 // This file holds the discrete-distribution kernels behind the
 // count-based bootstrap: an exact binomial sampler and the
-// recursive-halving multinomial draw built on it. The design constraint
+// split-tree multinomial draw built on it. The design constraint
 // throughout is O(1) expected work per variate with zero heap
 // allocation, so that a coverage-study replicate costs O(pilot)
 // regardless of the simulated machine size.
@@ -36,23 +36,6 @@ var logFactTable = sync.OnceValue(func() []float64 {
 	}
 	return t
 })
-
-// logOddsCap bounds the odd cell counts k whose halving log-odds are
-// memoized; splits of more cells, near the root of a larger tree, leave
-// BTRS to compute them.
-const logOddsCap = 1 << 10
-
-// logOdds[l] is log(p/(1-p)) for the odd split p = l/(2l+1) of the
-// halving tree, computed with the expression binomialBTRS uses, so a
-// memoized value equals the one BTRS would compute.
-var logOdds = func() (t [logOddsCap / 2]float64) {
-	for l := range t {
-		p := float64(l) / float64(2*l+1)
-		q := 1 - p
-		t[l] = math.Log(p / q)
-	}
-	return t
-}()
 
 // btrsCutoff splits Binomial between plain inversion and the BTRS
 // transformed-rejection sampler: below it the inversion walk is short
@@ -93,7 +76,7 @@ func (r *Rand) Binomial(n int, p float64) int {
 	if q == 0.5 {
 		k = r.binomialHalf(n)
 	} else {
-		k = r.binomialBelowHalf(n, q, math.NaN())
+		k = r.binomialBelowHalf(n, q)
 	}
 	if flipped {
 		k = n - k
@@ -109,11 +92,11 @@ const popcountCutoff = 2048
 // binomialHalf returns a Binomial(n, 1/2) variate as the popcount of n
 // fair random bits: exact, transcendental-free, and ~64 trials per
 // generator word, deferring to BTRS for very large n. It is the
-// workhorse of the halving decomposition in MultinomialEqual, where
-// every even split is a fair coin.
+// workhorse of the split tree in MultinomialEqual, where every split of
+// a power-of-two segment is a fair coin.
 func (r *Rand) binomialHalf(n int) int {
 	if n > popcountCutoff {
-		return r.binomialBTRS(n, 0.5, 0)
+		return r.binomialBTRS(n, 0.5)
 	}
 	k := 0
 	for ; n >= 64; n -= 64 {
@@ -126,13 +109,12 @@ func (r *Rand) binomialHalf(n int) int {
 }
 
 // binomialBelowHalf dispatches Binomial(n, p) for 0 < p < 1/2 between
-// inversion and BTRS. lpq is log(p/(1-p)) when the caller has it
-// memoized, NaN to let BTRS compute it.
-func (r *Rand) binomialBelowHalf(n int, p, lpq float64) int {
+// inversion and BTRS.
+func (r *Rand) binomialBelowHalf(n int, p float64) int {
 	if float64(n)*p < btrsCutoff {
 		return r.binomialInv(n, p)
 	}
-	return r.binomialBTRS(n, p, lpq)
+	return r.binomialBTRS(n, p)
 }
 
 // binomialInv is CDF inversion from zero (BINV): one uniform, then a
@@ -153,9 +135,8 @@ func (r *Rand) binomialInv(n int, p float64) int {
 }
 
 // binomialBTRS is Hörmann's BTRS sampler (transformed rejection with
-// squeeze, 1993). Requires 0 < p <= 1/2 and n·p >= 10. lpq is
-// log(p/(1-p)) if the caller has it, NaN otherwise.
-func (r *Rand) binomialBTRS(n int, p, lpq float64) int {
+// squeeze, 1993). Requires 0 < p <= 1/2 and n·p >= 10.
+func (r *Rand) binomialBTRS(n int, p float64) int {
 	fn := float64(n)
 	q := 1 - p
 	spq := math.Sqrt(fn * p * q)
@@ -170,7 +151,7 @@ func (r *Rand) binomialBTRS(n int, p, lpq float64) int {
 	// table reads below logFactCap (lf stays nil above it), and only
 	// integer arguments ever reach them: k and m are whole numbers in
 	// [0, n], so fn-k is exactly n-int(k).
-	var alpha, m, h float64
+	var alpha, lpq, m, h float64
 	var lf []float64
 	ready := false
 	for {
@@ -188,9 +169,7 @@ func (r *Rand) binomialBTRS(n int, p, lpq float64) int {
 		}
 		if !ready {
 			alpha = (2.83 + 5.1/b) * spq
-			if math.IsNaN(lpq) {
-				lpq = math.Log(p / q)
-			}
+			lpq = math.Log(p / q)
 			m = math.Floor((fn + 1) * p)
 			if n < logFactCap {
 				lf = logFactTable()
@@ -220,12 +199,16 @@ func (r *Rand) binomialBTRS(n int, p, lpq float64) int {
 // category histogram of n iid uniform draws over k values — a bootstrap
 // resample in count form — without materializing the n draws.
 //
-// The decomposition is recursive halving: the count falling in the left
-// half of the cells is Binomial over the remaining draws, conditioning
-// splits the problem in two, and even splits are fair coins served by
-// the popcount sampler at ~64 trials per generator word. Total cost is
-// O(k + n·log(k)/64) word-level work and zero allocations — the
-// conditional-binomial chain in cell order would instead pay the
+// The decomposition is a binary split tree. A segment of k cells whose
+// size is not a power of two splits at l = 2^⌊log₂k⌋: its k−l
+// right-hand cells take Binomial(n, (k−l)/k) of its n draws, with
+// (k−l)/k < 1/2, and split further under the same rule. A power-of-two
+// segment, such as the l left-hand cells, halves, and each halving is a
+// fair coin served by the popcount sampler at ~64 trials per generator
+// word. A draw therefore makes popcount(k)−1 biased splits; every other
+// split is fair.
+// Total cost is O(k + n·log(k)/64) word-level work and zero allocations
+// — the conditional-binomial chain in cell order would instead pay the
 // general sampler's setup for every cell.
 func (r *Rand) MultinomialEqual(n int, counts []int) {
 	if n < 0 {
@@ -237,12 +220,12 @@ func (r *Rand) MultinomialEqual(n int, counts []int) {
 	r.multinomialHalve(n, counts)
 }
 
-// multinomialHalve walks the halving tree iteratively — depth-first,
-// always descending into the left half and stacking the right — with
-// the generator state held in locals and the fair-coin popcount step
-// inlined. The tree has ~2k nodes, so per-node function-call and
-// state round-trip overhead would otherwise dominate the
-// O(n·log(k)/64) word-level work.
+// multinomialHalve walks the split tree iteratively — depth-first,
+// always descending into the left (power-of-two) part and stacking the
+// right — with the generator state held in locals and the fair-coin
+// popcount step inlined. The tree has ~2k nodes, so per-node
+// function-call and state round-trip overhead would otherwise dominate
+// the O(n·log(k)/64) word-level work.
 func (r *Rand) multinomialHalve(n int, counts []int) {
 	type seg struct{ n, lo, hi int }
 	// Depth of the stack is the tree depth, ceil(log2(k))+1 <= 64 for
@@ -268,23 +251,22 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 			cur = stack[sp]
 			continue
 		}
-		l := k >> 1
+		// l is the largest power of two below k: half of a power-of-two
+		// segment, else 2^⌊log₂k⌋. x of the cur.n draws land in the
+		// first l cells.
+		l := 1 << (bits.Len(uint(k-1)) - 1)
 		var x int
-		if k&1 != 0 || cur.n > popcountCutoff {
-			// Uneven split or a fair split too large for popcount: the
+		if 2*l != k || cur.n > popcountCutoff {
+			// Biased split, or a fair split too large for popcount: the
 			// general samplers read state through the receiver, so sync
 			// the locals around the call.
 			r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-			if k&1 != 0 {
-				// p = l/k < 1/2, so this is Binomial's own no-flip path,
-				// with the log-odds memoized per k.
-				lpq := math.NaN()
-				if k < logOddsCap {
-					lpq = logOdds[l]
-				}
-				x = r.binomialBelowHalf(cur.n, float64(l)/float64(k), lpq)
+			if 2*l != k {
+				// k−l < l, so p = (k−l)/k < 1/2 is Binomial's own no-flip
+				// path.
+				x = cur.n - r.binomialBelowHalf(cur.n, float64(k-l)/float64(k))
 			} else {
-				x = r.binomialBTRS(cur.n, 0.5, 0)
+				x = r.binomialBTRS(cur.n, 0.5)
 			}
 			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
 		} else {
@@ -314,9 +296,9 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 			}
 		}
 		// Leaves are absorbed here rather than visited as iterations:
-		// k == 2 writes both cells and pops, k == 3 writes the single
-		// left cell and slides into the right pair, so only subtrees of
-		// four or more cells ever touch the stack.
+		// k == 2 writes both cells and pops, and a one-cell right part
+		// is written in place while the walk slides into the left part,
+		// so only right parts of two or more cells touch the stack.
 		switch {
 		case k == 2:
 			counts[cur.lo] = x
@@ -327,9 +309,9 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 			}
 			sp--
 			cur = stack[sp]
-		case l == 1:
-			counts[cur.lo] = x
-			cur = seg{cur.n - x, cur.lo + 1, cur.hi}
+		case k-l == 1:
+			counts[cur.hi-1] = cur.n - x
+			cur = seg{x, cur.lo, cur.lo + l}
 		default:
 			stack[sp] = seg{cur.n - x, cur.lo + l, cur.hi}
 			sp++

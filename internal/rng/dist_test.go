@@ -9,7 +9,9 @@ package rng_test
 // wrong-branch sampler fails catastrophically.
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"nodevar/internal/rng"
@@ -173,6 +175,97 @@ func TestMultinomialEqualMarginalsAndSum(t *testing.T) {
 	}
 }
 
+// TestMultinomialEqualMatchesDefinition checks the split tree against
+// the definition it stands for, the histogram of n iid Intn(k) picks, on
+// the three shapes the repository draws and on small odd k. A fixed
+// count-weighted sum of the cells must pass a two-sample KS test against
+// the same sum over the definition's histograms, and the first and last
+// cells, which sit on opposite sides of the first biased split, must
+// each fit Binomial(n, 1/k).
+func TestMultinomialEqualMatchesDefinition(t *testing.T) {
+	const trials, alpha = 3000, 0.001
+	cases := []struct{ cells, n int }{
+		{516, 9116}, {600, 9166}, {210, 190},
+		{3, 20}, {5, 20}, {7, 20}, {3, 200}, {5, 200}, {7, 200},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("k%d_n%d", tc.cells, tc.n), func(t *testing.T) {
+			seed := uint64(tc.cells)*100003 + uint64(tc.n)
+			// Cell weights rise with the index, so draws moved across a
+			// split shift the sum; the fractional parts keep distinct
+			// histograms from tying.
+			w := make([]float64, tc.cells)
+			wr := rng.New(seed)
+			for i := range w {
+				w[i] = float64(i) + wr.Float64()
+			}
+			dot := func(c []int) float64 {
+				s := 0.0
+				for i, x := range c {
+					s += float64(x) * w[i]
+				}
+				return s
+			}
+			r, def := rng.New(seed+1), rng.New(seed+2)
+			counts := make([]int, tc.cells)
+			got, ref := make([]float64, trials), make([]float64, trials)
+			first, last := make([]int, trials), make([]int, trials)
+			for i := range got {
+				r.MultinomialEqual(tc.n, counts)
+				got[i] = dot(counts)
+				first[i], last[i] = counts[0], counts[tc.cells-1]
+				for j := range counts {
+					counts[j] = 0
+				}
+				for j := 0; j < tc.n; j++ {
+					counts[def.Intn(tc.cells)]++
+				}
+				ref[i] = dot(counts)
+			}
+			// Asymptotic two-sample KS critical value c(α)·√(2/trials),
+			// c(α) = √(−ln(α/2)/2); ties (small k) only make it
+			// conservative.
+			crit := math.Sqrt(-math.Log(alpha/2) / trials)
+			if d := ksTwoSample(got, ref); d > crit {
+				t.Errorf("weighted-sum KS D = %.4f against the definition, critical %.4f", d, crit)
+			}
+			for _, cell := range []struct {
+				name string
+				xs   []int
+			}{{"first", first}, {"last", last}} {
+				i := 0
+				p := chiSquareP(t,
+					func() int { x := cell.xs[i]; i++; return x },
+					func(x int) float64 { return binomPMF(tc.n, 1/float64(tc.cells), x) },
+					0, tc.n, trials)
+				if p < alpha {
+					t.Errorf("%s cell marginal GOF p-value = %v", cell.name, p)
+				}
+			}
+		})
+	}
+}
+
+// ksTwoSample returns the two-sample Kolmogorov-Smirnov statistic: the
+// largest gap between the empirical CDFs of a and b. It sorts both.
+func ksTwoSample(a, b []float64) float64 {
+	sort.Float64s(a)
+	sort.Float64s(b)
+	na, nb := float64(len(a)), float64(len(b))
+	d := 0.0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x := math.Min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = math.Max(d, math.Abs(float64(i)/na-float64(j)/nb))
+	}
+	return d
+}
+
 func TestUint64BlockMatchesSequential(t *testing.T) {
 	a, b := rng.New(77), rng.New(77)
 	block := make([]uint64, 1000)
@@ -282,9 +375,12 @@ func BenchmarkBinomial(b *testing.B) {
 }
 
 // BenchmarkMultinomialEqual is the RNG cost of one count-based machine
-// draw: on the LRZ shape (pilot 516, N 9216) most splits of the halving
-// tree are even and go to popcount; on the 600-cell robustness-study
-// shape the odd splits send most of the work through BTRS.
+// draw on the shapes the repository draws: LRZ (pilot 516, N 9216), the
+// 600-cell robustness-study pilot over the same population, and
+// coverage-miss's TU Dresden study (190 draws over 210 cells). A draw
+// makes popcount(cells)−1 biased splits (1, 3 and 3 here), and every
+// other split is a fair coin served by popcount, or by BTRS above
+// popcountCutoff draws.
 func BenchmarkMultinomialEqual(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -292,6 +388,7 @@ func BenchmarkMultinomialEqual(b *testing.B) {
 	}{
 		{"lrz_516", 516, 9216},
 		{"robust_600", 600, 9216},
+		{"tudresden_210", 210, 190},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -56,7 +56,7 @@ func TestCoverageStudyCtxCanceledReturnsPartial(t *testing.T) {
 			Ci int `json:"ci"`
 		} `json:"done"`
 	}
-	if err := checkpoint.Decode(*last, "sampling/coverage-study/v2", cfg.Seed, cfg.Fingerprint(), &prog); err != nil {
+	if err := checkpoint.Decode(*last, CoverageCheckpointKind, cfg.Seed, cfg.Fingerprint(), &prog); err != nil {
 		t.Fatalf("flushed checkpoint does not decode: %v", err)
 	}
 	if prog.Chunks != 16 || len(prog.Done) == 0 || len(prog.Done) >= 16 {

@@ -113,21 +113,24 @@ func TestCoverageStudyMatchesMaterializedReference(t *testing.T) {
 }
 
 // TestCoverageStudyRejectsStaleV1Checkpoint pins the fail-fast contract
-// of the kind bump: a checkpoint written by the v1 stream must not
-// silently resume into the v2 stream.
+// of the kind bumps: a checkpoint written by the v1 stream (materialized
+// machines) or the v2 stream (multinomial splits at k/2) must not silently
+// resume into the current stream.
 func TestCoverageStudyRejectsStaleV1Checkpoint(t *testing.T) {
 	cfg := defaultCoverageConfig()
 	cfg.Replicates = 400
 	cfg.Chunks = 4
 	prog := coverageProgress{Chunks: 4}
-	env, err := checkpoint.Encode("sampling/coverage-study/v1", cfg.Seed, cfg.Fingerprint(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ResumeData = env
-	_, err = CoverageStudyCtx(context.Background(), cfg)
-	if !errors.Is(err, checkpoint.ErrMismatch) {
-		t.Fatalf("resume from v1 checkpoint: err = %v, want checkpoint.ErrMismatch", err)
+	for _, kind := range []string{"sampling/coverage-study/v1", "sampling/coverage-study/v2"} {
+		env, err := checkpoint.Encode(kind, cfg.Seed, cfg.Fingerprint(), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.ResumeData = env
+		_, err = CoverageStudyCtx(context.Background(), cfg)
+		if !errors.Is(err, checkpoint.ErrMismatch) {
+			t.Errorf("resume from %s checkpoint: err = %v, want checkpoint.ErrMismatch", kind, err)
+		}
 	}
 }
 
