@@ -52,7 +52,7 @@ func run(t *testing.T, bin string, args ...string) string {
 
 // reproAllSHA256 is the sha256 of `repro -exp all` stdout at the
 // default options.
-const reproAllSHA256 = "2afc75490df64ef1c6367de2bde556e50724c8334af6907ca702579c30bda4ea"
+const reproAllSHA256 = "ac8deeb44a4e8c6c5b0509c9d1eb113d6b6b64e248cb4178db1644d76fd19cec"
 
 func TestCommandLineTools(t *testing.T) {
 	dir := buildCmds(t)
@@ -253,8 +253,8 @@ func TestReproInterrupt(t *testing.T) {
 
 	// Enough replicates that the study cannot finish before the signal
 	// lands: the first checkpoint flush comes after 8 of 64 chunks, and
-	// the other 56 take about 6 s on a 2-vCPU guest (the whole run about
-	// 7 s), so a loaded host still has seconds to deliver the SIGINT.
+	// the other 56 take about 8 s on a 2-vCPU guest (the whole run 9 to
+	// 10 s), so a loaded host still has seconds to deliver the SIGINT.
 	cmd := exec.Command(filepath.Join(dir, "repro"),
 		"-exp", "figure3", "-replicates", interruptReplicates,
 		"-checkpoint", ckpt, "-manifest", manifest)

@@ -23,8 +23,8 @@ func TestBootstrapTablesGolden(t *testing.T) {
 		id   ID
 		want string
 	}{
-		{Ablation, "c460a1f9dd6807b288bd9af90827617f7751b3d1ab4afec6a62081d1dc512c1a"},
-		{Figure3, "11e344de8595970ee3bbd816aa9297ed8c2d81ed9a8872722ccd38be5b132807"},
+		{Ablation, "56809af52828a9dd28d49f5303b1aef74597c0204a056c06d27cbd49bf4ab89b"},
+		{Figure3, "5286541c71ef74b316f7400445f6109820d1d62a153d6e46daccd052c1109113"},
 	}
 	for _, g := range golden {
 		res, err := Run(g.id, opts)

@@ -206,7 +206,10 @@ func (r *Rand) binomialBTRS(n int, p float64) int {
 // segment, such as the l left-hand cells, halves, and each halving is a
 // fair coin served by the popcount sampler at ~64 trials per generator
 // word. A draw therefore makes popcount(k)−1 biased splits; every other
-// split is fair.
+// split is fair. Two kinds of segment are finished without splitting:
+// one with fewer draws than cells takes each draw's cell directly, and
+// a power-of-two segment of at most leafCells cells reads each draw's
+// cell from the bits of log₂k generator words (see multinomialHalve).
 // Total cost is O(k + n·log(k)/64) word-level work and zero allocations
 // — the conditional-binomial chain in cell order would instead pay the
 // general sampler's setup for every cell.
@@ -220,12 +223,48 @@ func (r *Rand) MultinomialEqual(n int, counts []int) {
 	r.multinomialHalve(n, counts)
 }
 
+// leafCells is the largest power-of-two segment that multinomialHalve
+// finishes in one bit-sliced pass instead of splitting it. On the LRZ
+// shape (516 cells, 9196 draws) 8 was fastest: in 18 alternating rounds
+// a 4-cell leaf read 1.12× its time and a 16-cell leaf 1.07× (its 15
+// AND/popcount pairs and counters per block outweigh the split level
+// it saves).
+const leafCells = 8
+
+// xoshiro is one xoshiro256** step on a state held in the caller's
+// locals: it returns the output word and the next state. Small enough
+// to inline, so the kernels below keep the state in registers.
+func xoshiro(s0, s1, s2, s3 uint64) (w, n0, n1, n2, n3 uint64) {
+	w = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return w, s0, s1, s2, rotl(s3, 45)
+}
+
 // multinomialHalve walks the split tree iteratively — depth-first,
 // always descending into the left (power-of-two) part and stacking the
-// right — with the generator state held in locals and the fair-coin
-// popcount step inlined. The tree has ~2k nodes, so per-node
-// function-call and state round-trip overhead would otherwise dominate
-// the O(n·log(k)/64) word-level work.
+// right — with the generator state held in locals and the word-level
+// steps inlined. A segment ends the descent in one of three ways:
+//
+//   - k = 1: the cell takes every draw.
+//   - n < k (sparse): the cells are zeroed and each draw picks its cell
+//     by Lemire's multiply-shift with Intn's exact rejection, so the
+//     stream is that of n Intn(k) calls. n picks cost less than the
+//     ~2k-node subtree the splits would walk.
+//   - a power-of-two k <= leafCells with n <= popcountCutoff (leaf):
+//     bit-sliced. Draws go in blocks of 64; a block reads log₂k words,
+//     and draw j's cell is the number whose binary digits are bit j of
+//     those words. The bits are iid fair coins, so every draw is an
+//     independent uniform pick over the k cells, and each count is the
+//     popcount of the AND/AND-NOT combination of the masked words that
+//     selects its cell. This replaces the segment's k−1 fair splits and
+//     their stack traffic with straight-line code.
+//
+// Either way the segment's counts are exactly Multinomial(n; 1/k, ...).
 func (r *Rand) multinomialHalve(n int, counts []int) {
 	type seg struct{ n, lo, hi int }
 	// Depth of the stack is the tree depth, ceil(log2(k))+1 <= 64 for
@@ -236,87 +275,112 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for {
 		k := cur.hi - cur.lo
-		if k == 1 || cur.n == 0 {
-			if k == 1 {
-				counts[cur.lo] = cur.n
-			} else {
-				for i := cur.lo; i < cur.hi; i++ {
-					counts[i] = 0
+		c := counts[cur.lo:cur.hi]
+		switch {
+		case cur.n < k:
+			clear(c)
+			kk := uint64(k)
+			threshold := -kk % kk
+			for j := 0; j < cur.n; j++ {
+				var w uint64
+				w, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				hi, lo := bits.Mul64(w, kk)
+				for lo < threshold {
+					w, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+					hi, lo = bits.Mul64(w, kk)
+				}
+				c[hi]++
+			}
+		case k == 1:
+			c[0] = cur.n
+		case k <= leafCells && k&(k-1) == 0 && cur.n <= popcountCutoff:
+			// ai counts cell i in registers; cell 0 takes the rest.
+			var a1, a2, a3, a4, a5, a6, a7 int
+			for m := cur.n; m > 0; m -= 64 {
+				mask := ^uint64(0)
+				if m < 64 {
+					mask = 1<<uint(m) - 1
+				}
+				var w0, w1, w2 uint64
+				w0, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				switch k {
+				case 2:
+					a1 += bits.OnesCount64(w0 & mask)
+				case 4:
+					w1, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+					h, l := w1&mask, mask&^w1
+					a3 += bits.OnesCount64(h & w0)
+					a2 += bits.OnesCount64(h &^ w0)
+					a1 += bits.OnesCount64(l & w0)
+				case 8:
+					w1, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+					w2, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+					h, l := w2&mask, mask&^w2
+					hh, hl, lh, ll := h&w1, h&^w1, l&w1, l&^w1
+					a7 += bits.OnesCount64(hh & w0)
+					a6 += bits.OnesCount64(hh &^ w0)
+					a5 += bits.OnesCount64(hl & w0)
+					a4 += bits.OnesCount64(hl &^ w0)
+					a3 += bits.OnesCount64(lh & w0)
+					a2 += bits.OnesCount64(lh &^ w0)
+					a1 += bits.OnesCount64(ll & w0)
 				}
 			}
-			if sp == 0 {
-				break
+			c[0], c[1] = cur.n-a1-a2-a3-a4-a5-a6-a7, a1
+			if k >= 4 {
+				c[2], c[3] = a2, a3
 			}
-			sp--
-			cur = stack[sp]
-			continue
-		}
-		// l is the largest power of two below k: half of a power-of-two
-		// segment, else 2^⌊log₂k⌋. x of the cur.n draws land in the
-		// first l cells.
-		l := 1 << (bits.Len(uint(k-1)) - 1)
-		var x int
-		if 2*l != k || cur.n > popcountCutoff {
-			// Biased split, or a fair split too large for popcount: the
-			// general samplers read state through the receiver, so sync
-			// the locals around the call.
-			r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-			if 2*l != k {
-				// k−l < l, so p = (k−l)/k < 1/2 is Binomial's own no-flip
-				// path.
-				x = cur.n - r.binomialBelowHalf(cur.n, float64(k-l)/float64(k))
-			} else {
-				x = r.binomialBTRS(cur.n, 0.5)
+			if k == 8 {
+				c[4], c[5], c[6], c[7] = a4, a5, a6, a7
 			}
-			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
-		} else {
-			// Fair split: popcount of cur.n fresh bits, generator inlined.
-			m := cur.n
-			for ; m >= 64; m -= 64 {
-				w := rotl(s1*5, 7) * 9
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = rotl(s3, 45)
-				x += bits.OnesCount64(w)
-			}
-			if m > 0 {
-				w := rotl(s1*5, 7) * 9
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = rotl(s3, 45)
-				x += bits.OnesCount64(w & (1<<uint(m) - 1))
-			}
-		}
-		// Leaves are absorbed here rather than visited as iterations:
-		// k == 2 writes both cells and pops, and a one-cell right part
-		// is written in place while the walk slides into the left part,
-		// so only right parts of two or more cells touch the stack.
-		switch {
-		case k == 2:
-			counts[cur.lo] = x
-			counts[cur.lo+1] = cur.n - x
-			if sp == 0 {
-				r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-				return
-			}
-			sp--
-			cur = stack[sp]
-		case k-l == 1:
-			counts[cur.hi-1] = cur.n - x
-			cur = seg{x, cur.lo, cur.lo + l}
 		default:
-			stack[sp] = seg{cur.n - x, cur.lo + l, cur.hi}
-			sp++
-			cur = seg{x, cur.lo, cur.lo + l}
+			// l is the largest power of two below k: half of a
+			// power-of-two segment, else 2^⌊log₂k⌋. x of the cur.n draws
+			// land in the first l cells.
+			l := 1 << (bits.Len(uint(k-1)) - 1)
+			var x int
+			if 2*l != k || cur.n > popcountCutoff {
+				// Biased split, or a fair split too large for popcount:
+				// the general samplers read state through the receiver,
+				// so sync the locals around the call.
+				r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+				if 2*l != k {
+					// k−l < l, so p = (k−l)/k < 1/2 is Binomial's own
+					// no-flip path.
+					x = cur.n - r.binomialBelowHalf(cur.n, float64(k-l)/float64(k))
+				} else {
+					x = r.binomialBTRS(cur.n, 0.5)
+				}
+				s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+			} else {
+				// Fair split: popcount of cur.n fresh bits.
+				for m := cur.n; m > 0; m -= 64 {
+					var w uint64
+					w, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+					if m < 64 {
+						w &= 1<<uint(m) - 1
+					}
+					x += bits.OnesCount64(w)
+				}
+			}
+			// A two-cell segment gets here only above popcountCutoff; it
+			// writes both cells and pops rather than visiting two
+			// one-cell segments, which on a 65536-cell draw of 1e9 is
+			// 32768 fewer visits (BenchmarkMultinomialEqual/maxpilot_1e9
+			// read 1.08× the time without it).
+			if k > 2 {
+				stack[sp] = seg{cur.n - x, cur.lo + l, cur.hi}
+				sp++
+				cur = seg{x, cur.lo, cur.lo + l}
+				continue
+			}
+			c[0], c[1] = x, cur.n-x
 		}
+		if sp == 0 {
+			break
+		}
+		sp--
+		cur = stack[sp]
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
@@ -328,14 +392,7 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 func (r *Rand) Uint64Block(dst []uint64) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range dst {
-		dst[i] = rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		dst[i], s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }

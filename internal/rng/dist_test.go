@@ -182,11 +182,25 @@ func TestMultinomialEqualMarginalsAndSum(t *testing.T) {
 // the same sum over the definition's histograms, and the first and last
 // cells, which sit on opposite sides of the first biased split, must
 // each fit Binomial(n, 1/k).
+//
+// The other shapes reach the two ways a segment finishes without
+// splitting. k ∈ {2, 4, 8} is one bit-sliced leaf, at n on both sides of
+// a 64-draw block edge and of popcountCutoff (at 2049 a BTRS split
+// comes first; k = 2 then writes both cells in place). Fewer draws than cells is the sparse scatter: at
+// the root, where a draw must equal the histogram of n Intn(k) calls on
+// the same stream, and inside the tree at (516, 530), where 256-cell
+// halves and the 4-cell part often get fewer draws than cells.
 func TestMultinomialEqualMatchesDefinition(t *testing.T) {
 	const trials, alpha = 3000, 0.001
 	cases := []struct{ cells, n int }{
 		{516, 9116}, {600, 9166}, {210, 190},
 		{3, 20}, {5, 20}, {7, 20}, {3, 200}, {5, 200}, {7, 200},
+		{516, 100}, {64, 10}, {516, 530},
+	}
+	for _, k := range []int{2, 4, 8} {
+		for _, n := range []int{1, 63, 64, 65, 142, 2048, 2049} {
+			cases = append(cases, struct{ cells, n int }{k, n})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("k%d_n%d", tc.cells, tc.n), func(t *testing.T) {
@@ -208,6 +222,22 @@ func TestMultinomialEqualMatchesDefinition(t *testing.T) {
 			}
 			r, def := rng.New(seed+1), rng.New(seed+2)
 			counts := make([]int, tc.cells)
+			if tc.n < tc.cells {
+				a, b := rng.New(seed), rng.New(seed)
+				a.MultinomialEqual(tc.n, counts)
+				want := make([]int, tc.cells)
+				for j := 0; j < tc.n; j++ {
+					want[b.Intn(tc.cells)]++
+				}
+				for i := range want {
+					if counts[i] != want[i] {
+						t.Fatalf("sparse draw cell %d = %d, the same stream's Intn histogram has %d", i, counts[i], want[i])
+					}
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatal("sparse draw consumed a different number of words than n Intn calls")
+				}
+			}
 			got, ref := make([]float64, trials), make([]float64, trials)
 			first, last := make([]int, trials), make([]int, trials)
 			for i := range got {
@@ -243,6 +273,63 @@ func TestMultinomialEqualMatchesDefinition(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMultinomialEqualLeafCovariance checks the joint law inside one
+// bit-sliced leaf, which marginal tests cannot see: two cells of a
+// Multinomial(n; 1/k, ...) draw have covariance −n/k². Cells 0 and 7 of
+// an 8-cell leaf differ in every bit; cells 2 and 3 differ in the
+// lowest only. The leaf is the whole draw at k = 8 and cells 0–7 of
+// LRZ's 516. With the means known (n/k), the mean product of the
+// deviations estimates the covariance without bias; it must lie within
+// 4 standard errors of −n/k². At k = 8 that is about 20 standard errors
+// from 0, the answer of cells drawn independently.
+func TestMultinomialEqualLeafCovariance(t *testing.T) {
+	const trials = 20000
+	for _, tc := range []struct{ cells, n int }{{8, 142}, {8, 2048}, {516, 9196}} {
+		r := rng.New(uint64(tc.cells)<<20 + uint64(tc.n))
+		counts := make([]int, tc.cells)
+		mean := float64(tc.n) / float64(tc.cells)
+		want := -mean / float64(tc.cells)
+		for _, pr := range [][2]int{{0, 7}, {2, 3}} {
+			var sum, sumsq float64
+			for i := 0; i < trials; i++ {
+				r.MultinomialEqual(tc.n, counts)
+				x := (float64(counts[pr[0]]) - mean) * (float64(counts[pr[1]]) - mean)
+				sum += x
+				sumsq += x * x
+			}
+			cov := sum / trials
+			se := math.Sqrt((sumsq/trials - cov*cov) / trials)
+			if math.Abs(cov-want) > 4*se {
+				t.Errorf("k=%d n=%d: Cov(c%d, c%d) = %.3f ± %.3f, want %.3f", tc.cells, tc.n, pr[0], pr[1], cov, se, want)
+			}
+		}
+	}
+}
+
+// TestMultinomialEqualSumsToN draws seeded random shapes, from one cell
+// to past 2^16 and from no draws to past popcountCutoff per cell, so
+// every way a segment finishes is reached many times: the counts must
+// be non-negative and sum to n.
+func TestMultinomialEqualSumsToN(t *testing.T) {
+	r := rng.New(2026)
+	for i := 0; i < 3000; i++ {
+		k := 1 + r.Intn(1<<(1+r.Intn(17)))
+		n := r.Intn(1 + k*(1<<r.Intn(13)))
+		counts := make([]int, k)
+		r.MultinomialEqual(n, counts)
+		sum := 0
+		for j, c := range counts {
+			if c < 0 {
+				t.Fatalf("k=%d n=%d: cell %d = %d", k, n, j, c)
+			}
+			sum += c
+		}
+		if sum != n {
+			t.Fatalf("k=%d n=%d: counts sum to %d", k, n, sum)
+		}
 	}
 }
 
@@ -375,26 +462,31 @@ func BenchmarkBinomial(b *testing.B) {
 }
 
 // BenchmarkMultinomialEqual is the RNG cost of one count-based machine
-// draw on the shapes the repository draws: LRZ (pilot 516, N 9216), the
-// 600-cell robustness-study pilot over the same population, and
-// coverage-miss's TU Dresden study (190 draws over 210 cells). A draw
-// makes popcount(cells)−1 biased splits (1, 3 and 3 here), and every
-// other split is a fair coin served by popcount, or by BTRS above
-// popcountCutoff draws.
+// draw at the sizes the coverage studies draw: a replicate takes n_max
+// pilot picks and one multinomial over the other N − n_max nodes. LRZ
+// (516 cells, N 9216) at nodevard's sample sizes up to 20, the 600-cell
+// robustness pilot at the ablation's sizes up to 50, and TU Dresden (210
+// cells, N 210) at sizes up to 20, where draws are fewer than cells.
+// The maxpilot cases are the most expensive draws /v1/coverage admits:
+// a 65536-value pilot at population 65536 and at 1e9, both at sizes up
+// to 20.
 func BenchmarkMultinomialEqual(b *testing.B) {
 	cases := []struct {
 		name     string
 		cells, n int
 	}{
-		{"lrz_516", 516, 9216},
-		{"robust_600", 600, 9216},
-		{"tudresden_210", 210, 190},
+		{"lrz_516", 516, 9216 - 20},
+		{"robust_600", 600, 9216 - 50},
+		{"tudresden_210", 210, 210 - 20},
+		{"maxpilot_65536", 65536, 65536 - 20},
+		{"maxpilot_1e9", 65536, 1e9 - 20},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			r := rng.New(1)
 			counts := make([]int, tc.cells)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.MultinomialEqual(tc.n, counts)
 			}
@@ -402,17 +494,32 @@ func BenchmarkMultinomialEqual(b *testing.B) {
 	}
 }
 
-// BenchmarkCountedReplicate is the RNG cost of one count-based coverage
-// replicate on the LRZ shape (pilot 516, N 9216, one subset of 10):
-// the multinomial machine draw plus one sparse subset draw.
+// BenchmarkCountedReplicate is the RNG work of one coverage replicate
+// in coverageVariants on nodevard's default shapes (sample sizes up to
+// 20): n_max Intn pilot picks, then one multinomial over the other
+// N − n_max nodes.
 func BenchmarkCountedReplicate(b *testing.B) {
-	r := rng.New(1)
-	counts := make([]int, 516)
-	idx := make([]int, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.MultinomialEqual(9216, counts)
-		r.SampleWithoutReplacementInto(9216, idx)
+	cases := []struct {
+		name                    string
+		pilot, population, nmax int
+	}{
+		{"lrz", 516, 9216, 20},
+		{"tudresden", 210, 210, 20},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			r := rng.New(1)
+			counts := make([]int, tc.pilot)
+			picks := make([]int, tc.nmax)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range picks {
+					picks[j] = r.Intn(tc.pilot)
+				}
+				r.MultinomialEqual(tc.population-tc.nmax, counts)
+			}
+		})
 	}
 }
 

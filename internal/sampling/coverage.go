@@ -35,12 +35,14 @@ var (
 // CoverageCheckpointKind stamps coverage-study checkpoints; bump if the
 // chunk decomposition, the per-replicate RNG stream, or the meaning of
 // the accumulators ever changes. v2 was the count-based replicate loop;
-// v3 draws its multinomial with power-of-two splits instead of k/2 ones.
+// v3 draws its multinomial with power-of-two splits instead of k/2 ones;
+// v4 finishes small power-of-two segments with bit-sliced leaves and
+// segments with fewer draws than cells with direct picks.
 // Each changed the streams, so a stale checkpoint must fail fast with
 // checkpoint.ErrMismatch rather than resume into a different stream.
 // Transports that carry envelopes between processes (internal/dist
 // workers stream them to the frontend) check it too.
-const CoverageCheckpointKind = "sampling/coverage-study/v3"
+const CoverageCheckpointKind = "sampling/coverage-study/v4"
 
 // CoverageConfig describes a Figure-3 style bootstrap calibration study.
 type CoverageConfig struct {

@@ -114,14 +114,15 @@ func TestCoverageStudyMatchesMaterializedReference(t *testing.T) {
 
 // TestCoverageStudyRejectsStaleV1Checkpoint pins the fail-fast contract
 // of the kind bumps: a checkpoint written by the v1 stream (materialized
-// machines) or the v2 stream (multinomial splits at k/2) must not silently
-// resume into the current stream.
+// machines), the v2 stream (multinomial splits at k/2) or the v3 stream
+// (every power-of-two segment split down to single cells) must not
+// silently resume into the current stream.
 func TestCoverageStudyRejectsStaleV1Checkpoint(t *testing.T) {
 	cfg := defaultCoverageConfig()
 	cfg.Replicates = 400
 	cfg.Chunks = 4
 	prog := coverageProgress{Chunks: 4}
-	for _, kind := range []string{"sampling/coverage-study/v1", "sampling/coverage-study/v2"} {
+	for _, kind := range []string{"sampling/coverage-study/v1", "sampling/coverage-study/v2", "sampling/coverage-study/v3"} {
 		env, err := checkpoint.Encode(kind, cfg.Seed, cfg.Fingerprint(), prog)
 		if err != nil {
 			t.Fatal(err)

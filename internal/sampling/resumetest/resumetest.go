@@ -1,8 +1,11 @@
 // Package resumetest is the interrupt/resume harness for the bootstrap
-// coverage study: it runs one scenario — a clean reference study, then
+// coverage studies: it runs one scenario — a clean reference study, then
 // the same study repeatedly canceled at seeded random chunk counts and
 // resumed from its checkpoint until it completes — and returns a
-// deterministic Outcome. The invariant the test suite asserts over it:
+// deterministic Outcome. The study is any checkpointed pass over a
+// CoverageConfig: sampling.CoverageStudyCtx, or a variant batch such as
+// sampling.CompareIntervalsCtx, whose t and z estimators share one draw
+// and one checkpoint. The invariant the test suite asserts over it:
 // no matter where the interruptions land, the final result is
 // byte-identical to the uninterrupted run.
 //
@@ -36,12 +39,13 @@ type Scenario struct {
 	MaxRounds int
 }
 
-// Outcome is everything a scenario produced.
-type Outcome struct {
+// Outcome is everything a scenario produced; T is the study's result
+// row.
+type Outcome[T comparable] struct {
 	// Reference is the uninterrupted run's result.
-	Reference []sampling.CoveragePoint
+	Reference []T
 	// Final is the result of the run that completed after resumption.
-	Final []sampling.CoveragePoint
+	Final []T
 	// Rounds is how many runs were launched, including the completing one.
 	Rounds int
 	// Interrupts is how many of those runs were canceled mid-study.
@@ -50,7 +54,7 @@ type Outcome struct {
 
 // Identical reports whether Final reproduced Reference exactly — every
 // float64 bit-for-bit equal, not merely close.
-func (o Outcome) Identical() bool {
+func (o Outcome[T]) Identical() bool {
 	if len(o.Final) != len(o.Reference) {
 		return false
 	}
@@ -62,18 +66,18 @@ func (o Outcome) Identical() bool {
 	return true
 }
 
-// Run executes the scenario, checkpointing into a file in dir the way
-// the -checkpoint commands do: each round resumes from the bytes
+// Run executes the scenario with study, checkpointing into a file in dir
+// the way the -checkpoint commands do: each round resumes from the bytes
 // checkpoint.ReadFile returns and persists progress with
 // checkpoint.WriteFileAtomic. It returns an error if any run fails for a
 // reason other than the harness's own cancellation, or if the study does
 // not complete within MaxRounds.
-func Run(dir string, sc Scenario) (Outcome, error) {
-	var out Outcome
+func Run[T comparable](dir string, sc Scenario, study func(context.Context, sampling.CoverageConfig) ([]T, error)) (Outcome[T], error) {
+	var out Outcome[T]
 	base := sc.Config
 	base.ResumeData, base.OnCheckpoint, base.OnChunk = nil, nil, nil
 
-	ref, err := sampling.CoverageStudy(base)
+	ref, err := study(context.Background(), base)
 	if err != nil {
 		return out, fmt.Errorf("resumetest: reference run: %w", err)
 	}
@@ -114,7 +118,7 @@ func Run(dir string, sc Scenario) (Outcome, error) {
 				cancel()
 			}
 		}
-		pts, err := sampling.CoverageStudyCtx(ctx, runCfg)
+		pts, err := study(ctx, runCfg)
 		cancel()
 		switch {
 		case err == nil:

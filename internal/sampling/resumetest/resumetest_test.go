@@ -37,7 +37,7 @@ func TestInterruptResume(t *testing.T) {
 		seed := seed
 		t.Run("seed="+itoa(seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed * 1000003})
+			out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed * 1000003}, sampling.CoverageStudyCtx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestInterruptResume(t *testing.T) {
 func TestHarnessActuallyInterrupts(t *testing.T) {
 	total := 0
 	for _, seed := range resumeSeeds[:3] {
-		out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed})
+		out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed}, sampling.CoverageStudyCtx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +67,30 @@ func TestHarnessActuallyInterrupts(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no scenario interrupted the study; the resume path is untested")
+	}
+}
+
+// TestInterruptResumeVariantBatch is the same gate for a pass of several
+// variants: CompareIntervalsCtx scores a t and a z interval on one draw
+// under one batch-fingerprinted checkpoint, so a cancel point can land
+// between chunks of the shared pass. Resuming must reproduce the clean
+// pass's rows exactly, and across the seeds some run must really have
+// been interrupted.
+func TestInterruptResumeVariantBatch(t *testing.T) {
+	interrupts := 0
+	for _, seed := range resumeSeeds {
+		out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed * 7919}, sampling.CompareIntervalsCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Identical() {
+			t.Fatalf("seed %d: resumed t/z pass differs from reference:\nreference %v\nfinal     %v",
+				seed, out.Reference, out.Final)
+		}
+		interrupts += out.Interrupts
+	}
+	if interrupts == 0 {
+		t.Fatal("no variant-batch scenario was interrupted; its resume path is untested")
 	}
 }
 
