@@ -136,6 +136,22 @@ func BenchmarkTraceCalibration(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCalibration measures calibrating, from an empty cache,
+// every preset whose trace the pipeline fits (Table 2 and the gaming
+// study) at the pipeline's 2000 samples: the work a fresh process does
+// before its first repro pass.
+func BenchmarkColdCalibration(b *testing.B) {
+	presets := []systems.Spec{systems.Colosse, systems.Sequoia, systems.PizDaint, systems.LCSC, systems.TsubameKFC}
+	for i := 0; i < b.N; i++ {
+		systems.ResetCalibrationCache()
+		for _, s := range presets {
+			if _, _, err := systems.CalibratedTrace(s, 2000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkCalibrationCached measures the memoized path most callers hit.
 func BenchmarkCalibrationCached(b *testing.B) {
 	if _, _, err := systems.CalibratedTrace(systems.LCSC, 1000); err != nil {

@@ -294,6 +294,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{SamplePeriod: -1}); err == nil {
 		t.Error("negative sample period accepted")
 	}
+	// The tick loop would never end on these.
+	if _, err := Run(c, constLoad{dur: math.Inf(1), util: 1}, RunOptions{}); err == nil {
+		t.Error("infinite-duration workload accepted")
+	}
+	if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{SamplePeriod: math.NaN()}); err == nil {
+		t.Error("NaN sample period accepted")
+	}
 	if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{MaxSamples: 2}); err == nil {
 		t.Error("tiny MaxSamples accepted")
 	}

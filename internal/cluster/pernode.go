@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"errors"
+	"fmt"
+	"math"
 
 	"nodevar/internal/power"
-	"nodevar/internal/sim"
 )
 
 // PerNodeLoad is a workload whose utilization differs across nodes —
@@ -37,8 +37,8 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 		return nil, err
 	}
 	duration := load.CoreDuration()
-	if duration <= 0 {
-		return nil, errors.New("cluster: workload has non-positive core duration")
+	if !(duration > 0 && duration < math.Inf(1)) {
+		return nil, fmt.Errorf("cluster: workload core duration %v is not positive and finite", duration)
 	}
 	dt := opts.SamplePeriod
 	// Per-node simulation is O(N) per tick; keep the default tick budget
@@ -63,9 +63,7 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 	var intTime float64
 	var samples []power.Sample
 
-	var eng sim.Engine
-	step := func(e *sim.Engine) {
-		t := e.Now()
+	for t := 0.0; t <= duration; t += dt {
 		if opts.Governor != nil {
 			dynFact = opts.Governor.OperatingAt(t).DynamicFactor()
 		}
@@ -99,8 +97,6 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 			intTime += dtEff
 		}
 	}
-	eng.Every(0, dt, func(now float64) bool { return now <= duration }, step)
-	eng.Run()
 
 	if last := samples[len(samples)-1]; last.Time < duration {
 		samples = append(samples, power.Sample{Time: duration, Power: last.Power})

@@ -8,7 +8,6 @@ import (
 
 	"nodevar/internal/obs"
 	"nodevar/internal/power"
-	"nodevar/internal/sim"
 )
 
 // Simulator metrics: one batched add per run / subset-trace request.
@@ -58,7 +57,7 @@ func (o *RunOptions) fill() error {
 	if o.SamplePeriod == 0 {
 		o.SamplePeriod = 1
 	}
-	if o.SamplePeriod < 0 {
+	if !(o.SamplePeriod > 0) {
 		return errors.New("cluster: SamplePeriod must be positive")
 	}
 	if o.MaxSamples == 0 {
@@ -98,8 +97,8 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 	duration := load.CoreDuration()
-	if duration <= 0 {
-		return nil, errors.New("cluster: workload has non-positive core duration")
+	if !(duration > 0 && duration < math.Inf(1)) {
+		return nil, fmt.Errorf("cluster: workload core duration %v is not positive and finite", duration)
 	}
 	dt := opts.SamplePeriod
 	if steps := duration / dt; steps > float64(opts.MaxSamples-1) {
@@ -116,12 +115,10 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 	}
 	dynFact := opts.Operating.DynamicFactor()
 
-	var eng sim.Engine
 	samples := make([]power.Sample, 0, int(duration/dt)+2)
 	var intThermal, intUtilDyn, intFan, intTime float64
 
-	step := func(e *sim.Engine) {
-		t := e.Now()
+	for t := 0.0; t <= duration; t += dt {
 		util := load.Utilization(t)
 		if util < 0 {
 			util = 0
@@ -161,8 +158,6 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 		decay := 1 - expNeg(dtEff/m.ThermalTau)
 		tempRise += (steady - tempRise) * decay
 	}
-	eng.Every(0, dt, func(now float64) bool { return now <= duration }, step)
-	eng.Run()
 
 	// Ensure both the system trace and the per-node tick state extend to
 	// exactly the core-phase end.

@@ -243,51 +243,177 @@ func (r *Run) SegmentUtilization(lo, hi float64) float64 {
 	return acc / (b - a)
 }
 
-// MatrixOrderForRuntime returns the matrix order N whose simulated core
-// phase lasts approximately target seconds for the given configuration
-// template (its MatrixOrder field is ignored). The search is monotone in
-// N, so a simple doubling-plus-bisection suffices.
+// MatrixOrderForRuntime returns the smallest matrix order N above the
+// block size whose simulated core phase lasts at least target seconds for
+// the given configuration template (its MatrixOrder field is ignored), or
+// fails as unreachably long when N would exceed the first power-of-two
+// multiple of the block size above 1<<28.
+//
+// The search is exact: core duration strictly increases in N (every
+// step's update and panel time grow with its trailing order and with N,
+// and a new panel step adds time), and N is returned only once it is
+// probed to reach target and N-1 (or the block size) is known not to.
+// Each probe walks all N/NB panel steps, so a model picks the probes. The
+// first double from 2·NB to 8·NB, with a bisection below the first that
+// reaches target: at whole multiples of NB the core duration is a cubic
+// in N with no constant term (sums of m² and m over the trailing orders
+// m), which these three fix. A probe at 8·NB+1 measures the jump a new
+// panel step adds (StepOverhead). Each later probe is the first order at
+// which this cubic-plus-stairs model, shifted to pass through the
+// bracket's probed ends, reaches target; on every calibrated preset that
+// is the answer, and its neighbour closes the bracket. After modelProbes
+// such probes the search doubles and bisects.
 func MatrixOrderForRuntime(template Config, target float64) (int, error) {
 	if target <= 0 {
 		return 0, errors.New("hpl: target runtime must be positive")
 	}
-	duration := func(n int) (float64, error) {
-		c := template
-		c.MatrixOrder = n
-		if c.BlockSize > n {
-			c.BlockSize = n
-		}
-		return c.coreDuration()
+	return searchOrder(max(template.BlockSize, 1), target, template.durationAt)
+}
+
+// durationAt is the core duration of the template at matrix order n.
+func (c Config) durationAt(n int) (float64, error) {
+	c.MatrixOrder = n
+	if c.BlockSize > n {
+		c.BlockSize = n
 	}
-	lo := template.BlockSize
-	if lo < 1 {
-		lo = 1
-	}
-	hi := lo * 2
-	for {
-		d, err := duration(hi)
+	return c.coreDuration()
+}
+
+// modelProbes is how many probes searchOrder lets its model pick before
+// it falls back to doubling and bisection.
+const modelProbes = 4
+
+// probe is an order and its core duration.
+type probe struct {
+	n int
+	d float64
+}
+
+// searchOrder returns the smallest order n in (nb, limit] with
+// duration(n) >= target, where limit is the first nb·2^k above 1<<28,
+// given that the predicate is monotone in n. The first probe is 2·nb, so
+// a template error surfaces as duration's error at that order.
+func searchOrder(nb int, target float64, duration func(int) (float64, error)) (int, error) {
+	unreachable := errors.New("hpl: target runtime unreachably long")
+	below := probe{n: nb} // nb itself is never probed
+	var above probe       // n is 0 until an order reaches target
+	measure := func(n int) error {
+		d, err := duration(n)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if d >= target {
-			break
+			above = probe{n, d}
+		} else {
+			below = probe{n, d}
 		}
-		if hi > 1<<28 {
-			return 0, errors.New("hpl: target runtime unreachably long")
-		}
-		hi *= 2
+		return nil
 	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		d, err := duration(mid)
-		if err != nil {
+
+	var fit [3]probe
+	for i := range fit {
+		if err := measure(nb << (i + 1)); err != nil {
 			return 0, err
 		}
-		if d < target {
-			lo = mid
-		} else {
-			hi = mid
+		if above.n != 0 {
+			break
+		}
+		if below.n > 1<<28 {
+			return 0, unreachable
+		}
+		fit[i] = below
+	}
+	var m *model
+	if above.n == 0 {
+		m = newModel(nb, fit)
+		if nb > 1 { // with NB = 1 every order is a whole multiple
+			if err := measure(below.n + 1); err != nil {
+				return 0, err
+			}
+			m.stair = (below.d - m.at(below.n)) / (1 - 1/float64(nb))
 		}
 	}
-	return hi, nil
+
+	limit := 2 * nb
+	for limit <= 1<<28 {
+		limit *= 2
+	}
+	for guided := 0; above.n == 0 || above.n-below.n > 1; guided++ {
+		upper := limit
+		if above.n != 0 {
+			upper = above.n - 1
+		}
+		n := below.n + (upper-below.n+1)/2
+		switch {
+		case m != nil && guided < modelProbes:
+			n = m.guess(below, above, target, upper)
+		case above.n == 0:
+			n = min(2*below.n, limit)
+		}
+		if err := measure(n); err != nil {
+			return 0, err
+		}
+		if above.n == 0 && n == limit {
+			return 0, unreachable
+		}
+	}
+	return above.n, nil
+}
+
+// model is the core-duration curve searchOrder steers by: n³·w(1/n),
+// where w is the quadratic through the three fit probes' d/n³, plus
+// stair for each panel step the order has beyond n/nb.
+type model struct {
+	nb    int
+	u     [3]float64 // 1/n of each fit probe
+	coef  [3]float64 // Newton divided differences of d/n³ over u
+	stair float64
+}
+
+func newModel(nb int, fit [3]probe) *model {
+	m := &model{nb: nb}
+	var w [3]float64
+	for i, p := range fit {
+		x := float64(p.n)
+		m.u[i], w[i] = 1/x, p.d/(x*x*x)
+	}
+	m.coef[0] = w[0]
+	m.coef[1] = (w[1] - w[0]) / (m.u[1] - m.u[0])
+	m.coef[2] = ((w[2]-w[1])/(m.u[2]-m.u[1]) - m.coef[1]) / (m.u[2] - m.u[0])
+	return m
+}
+
+// at returns the model's core duration at order n.
+func (m *model) at(n int) float64 {
+	x := float64(n)
+	w := m.coef[0] + (1/x-m.u[0])*(m.coef[1]+(1/x-m.u[1])*m.coef[2])
+	steps := (n + m.nb - 1) / m.nb
+	return x*x*x*w + m.stair*(float64(steps)-x/float64(m.nb))
+}
+
+// guess returns the first order in (below.n, upper] at which the model
+// reaches target once shifted by its misses at the bracket's probed ends
+// (linearly between them), or upper if it reaches target nowhere there.
+func (m *model) guess(below, above probe, target float64, upper int) int {
+	rb := below.d - m.at(below.n)
+	ra := rb
+	if above.n != 0 {
+		ra = above.d - m.at(above.n)
+	}
+	reaches := func(n int) bool {
+		shift := rb + (ra-rb)*float64(n-below.n)/float64(max(above.n-below.n, 1))
+		return m.at(n)+shift >= target
+	}
+	lo, hi := below.n+1, upper
+	if !reaches(hi) {
+		return hi
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

@@ -216,8 +216,32 @@ func TestMatrixOrderForRuntimeBadTarget(t *testing.T) {
 	}
 }
 
-// Property: longer target runtimes need larger matrices.
+// Property: longer target runtimes need larger matrices. The runtime
+// search's exactness rests on it: core duration strictly increases from
+// every order to the next, including across the block-size multiples
+// where a new panel step starts (and, with StepOverhead, the duration
+// jumps).
 func TestQuickRuntimeMonotoneInN(t *testing.T) {
+	gpu := Config{ // shaped like the rules testbed
+		BlockSize: 768, Nodes: 128, NodePeak: 5000, PeakEfficiency: 0.65,
+		TailKnee: 0.04, PanelFraction: 0.02, StepOverhead: 2,
+	}
+	for _, template := range []Config{baseConfig(), gpu} {
+		nb := template.BlockSize
+		adjacent := func(stepsRaw uint16, offRaw uint8) bool {
+			// n and n+1 at and around the end of a panel step count.
+			n := (2+int(stepsRaw)%4000)*nb + int(offRaw)%5 - 2
+			lo, hi := template, template
+			lo.MatrixOrder, hi.MatrixOrder = n, n+1
+			dLo, err1 := lo.coreDuration()
+			dHi, err2 := hi.coreDuration()
+			return err1 == nil && err2 == nil && dLo < dHi
+		}
+		if err := quick.Check(adjacent, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("NB=%d: %v", nb, err)
+		}
+	}
+
 	template := baseConfig()
 	f := func(aRaw, bRaw uint16) bool {
 		na := 2000 + int(aRaw)%30000
@@ -239,6 +263,47 @@ func TestQuickRuntimeMonotoneInN(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSearchWorkOnPresetShapes pins how few panel steps the runtime
+// search walks to size the five calibrated presets (templates copied from
+// internal/systems, which imports this package). The doubling-plus-
+// bisection search it replaced walked the listed counts, 1,886,552 in
+// all; the model-guided search must walk no more on any preset and at
+// most 450,000 in all.
+func TestSearchWorkOnPresetShapes(t *testing.T) {
+	presets := []struct {
+		name        string
+		c           Config
+		target      float64
+		parentSteps int
+	}{
+		{"Colosse", Config{BlockSize: 128, Nodes: 960, NodePeak: 90, PeakEfficiency: 0.85, TailKnee: 0.0015, PanelFraction: 0.25}, 7 * 3600, 260959},
+		{"Sequoia", Config{BlockSize: 256, Nodes: 122880, NodePeak: 204.8, PeakEfficiency: 0.82, TailKnee: 0.04, PanelFraction: 0.2}, 28 * 3600, 1442741},
+		{"Piz Daint", Config{BlockSize: 512, Nodes: 5272, NodePeak: 1400, PeakEfficiency: 0.7, TailKnee: 0.03, PanelFraction: 0.03, StepOverhead: 0.5}, 1.5 * 3600, 133191},
+		{"L-CSC", Config{BlockSize: 1024, Nodes: 160, NodePeak: 10200, PeakEfficiency: 0.62, TailKnee: 0.045, PanelFraction: 0.02, StepOverhead: 3}, 1.5 * 3600, 30630},
+		{"TSUBAME-KFC", Config{BlockSize: 768, Nodes: 40, NodePeak: 5600, PeakEfficiency: 0.65, TailKnee: 0.035, PanelFraction: 0.025, StepOverhead: 2}, 3600, 19031},
+	}
+	total := 0
+	for _, p := range presets {
+		probes, steps := 0, 0
+		n, err := searchOrder(p.c.BlockSize, p.target, func(n int) (float64, error) {
+			probes++
+			steps += (n + p.c.BlockSize - 1) / p.c.BlockSize
+			return p.c.durationAt(n)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		total += steps
+		t.Logf("%-11s N=%d: %d probes, %d panel steps (was %d)", p.name, n, probes, steps, p.parentSteps)
+		if steps > p.parentSteps {
+			t.Errorf("%s: %d panel steps, more than the %d the bisection walked", p.name, steps, p.parentSteps)
+		}
+	}
+	if total > 450000 {
+		t.Errorf("sizing the presets walked %d panel steps, want at most 450000", total)
 	}
 }
 
