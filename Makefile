@@ -54,7 +54,9 @@ vuln:
 # (./internal/faults/chaostest), the SIGINT-then-resume e2e against the
 # repro binary (TestReproInterrupt, TestCheckpointFlagsTellTheTruth) and
 # a repro -trace-out file checked by obs.ValidateChromeTrace
-# (TestCommandLineTools/repro).
+# (TestCommandLineTools/repro), and the reachability gate
+# (./internal/leantest), which fails naming file:line for any
+# package-level declaration in a non-test file that no program reaches.
 check: fmt-check vet build race fuzz cover-check
 
 bench:

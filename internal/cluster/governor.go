@@ -11,14 +11,6 @@ type Governor interface {
 	OperatingAt(t float64) Operating
 }
 
-// StaticGovernor always returns one operating point.
-type StaticGovernor struct {
-	Point Operating
-}
-
-// OperatingAt returns the fixed point.
-func (g StaticGovernor) OperatingAt(float64) Operating { return g.Point }
-
 // StepGovernor switches operating points at fixed times.
 type StepGovernor struct {
 	// Times are the switch instants in seconds, strictly increasing.

@@ -7,6 +7,14 @@ import (
 	"nodevar/internal/power"
 )
 
+// StaticGovernor always returns one operating point.
+type StaticGovernor struct {
+	Point Operating
+}
+
+// OperatingAt returns the fixed point.
+func (g StaticGovernor) OperatingAt(float64) Operating { return g.Point }
+
 func TestStaticGovernor(t *testing.T) {
 	g := StaticGovernor{Point: Operating{FreqScale: 0.9, VoltScale: 0.95}}
 	if g.OperatingAt(0) != g.OperatingAt(1e6) {

@@ -229,6 +229,12 @@ func (es ExperimentErrors) Unwrap() []error {
 	return out
 }
 
+// errors.Is and errors.As reach the wrapped failures through Unwrap.
+var (
+	_ interface{ Unwrap() error }   = (*ExperimentError)(nil)
+	_ interface{ Unwrap() []error } = ExperimentErrors(nil)
+)
+
 // RunAll executes every experiment and returns the results in stable ID
 // order. Experiments run in parallel: each runner is a pure function of
 // its Options (all randomness flows from opts.Seed through per-experiment

@@ -9,11 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"nodevar/internal/faults"
 	"nodevar/internal/sampling"
 )
 
-// TestFrontendUnderNetworkChaos composes the internal/faults network
+// TestFrontendUnderNetworkChaos composes the seeded network
 // injectors with the distributed frontend: every request to the worker
 // fleet passes through a seeded injector that refuses connections,
 // delays them, truncates response streams mid-frame and flaps whole
@@ -33,7 +32,7 @@ func TestFrontendUnderNetworkChaos(t *testing.T) {
 				urls = append(urls, ts.URL)
 			}
 
-			sched := faults.NetSchedule{
+			sched := NetSchedule{
 				Seed:          seed,
 				RefuseRate:    0.20,
 				LatencyRate:   0.20,

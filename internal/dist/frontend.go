@@ -123,9 +123,6 @@ func (f *Frontend) Start(ctx context.Context) {
 	go f.reg.start(ctx)
 }
 
-// LiveWorkers reports how many workers are currently believed healthy.
-func (f *Frontend) LiveWorkers() int { return f.reg.liveCount() }
-
 // Coverage runs cfg on the fleet. It returns the study points, whether
 // the result was computed in degraded mode (locally, because no worker
 // could serve it), and an error only when the study itself cannot

@@ -16,6 +16,9 @@ import (
 	"nodevar/internal/sampling"
 )
 
+// LiveWorkers reports how many workers are currently believed healthy.
+func (f *Frontend) LiveWorkers() int { return f.reg.liveCount() }
+
 func assertSamePoints(t *testing.T, got, want []sampling.CoveragePoint, label string) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -66,18 +66,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hpl: BlockSize %d outside (0, %d]", c.BlockSize, c.MatrixOrder)
 	case c.Nodes <= 0:
 		return errors.New("hpl: Nodes must be positive")
-	case c.NodePeak <= 0:
-		return errors.New("hpl: NodePeak must be positive")
-	case c.PeakEfficiency <= 0 || c.PeakEfficiency > 1:
+	case !(c.NodePeak > 0) || math.IsInf(float64(c.NodePeak), 1):
+		return fmt.Errorf("hpl: NodePeak %v must be positive and finite", c.NodePeak)
+	case !(c.PeakEfficiency > 0) || !(c.PeakEfficiency <= 1):
 		return fmt.Errorf("hpl: PeakEfficiency %v outside (0, 1]", c.PeakEfficiency)
-	case c.TailKnee < 0:
-		return errors.New("hpl: TailKnee must be non-negative")
-	case c.PanelFraction <= 0 || c.PanelFraction > 1:
+	case !(c.TailKnee >= 0) || math.IsInf(c.TailKnee, 1):
+		return fmt.Errorf("hpl: TailKnee %v must be non-negative and finite", c.TailKnee)
+	case !(c.PanelFraction > 0) || !(c.PanelFraction <= 1):
 		return fmt.Errorf("hpl: PanelFraction %v outside (0, 1]", c.PanelFraction)
-	case c.StepOverhead < 0:
-		return errors.New("hpl: StepOverhead must be non-negative")
-	case c.SetupTime < 0 || c.TeardownTime < 0:
-		return errors.New("hpl: phase times must be non-negative")
+	case !(c.StepOverhead >= 0) || math.IsInf(c.StepOverhead, 1):
+		return fmt.Errorf("hpl: StepOverhead %v must be non-negative and finite", c.StepOverhead)
+	case !(c.SetupTime >= 0) || math.IsInf(c.SetupTime, 1):
+		return fmt.Errorf("hpl: SetupTime %v must be non-negative and finite", c.SetupTime)
+	case !(c.TeardownTime >= 0) || math.IsInf(c.TeardownTime, 1):
+		return fmt.Errorf("hpl: TeardownTime %v must be non-negative and finite", c.TeardownTime)
 	}
 	return nil
 }
@@ -264,8 +266,8 @@ func (r *Run) SegmentUtilization(lo, hi float64) float64 {
 // is the answer, and its neighbour closes the bracket. After modelProbes
 // such probes the search doubles and bisects.
 func MatrixOrderForRuntime(template Config, target float64) (int, error) {
-	if target <= 0 {
-		return 0, errors.New("hpl: target runtime must be positive")
+	if !(target > 0) || math.IsInf(target, 1) {
+		return 0, fmt.Errorf("hpl: target runtime %v must be positive and finite", target)
 	}
 	return searchOrder(max(template.BlockSize, 1), target, template.durationAt)
 }

@@ -2,8 +2,11 @@ package hpl
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"nodevar/internal/power"
 )
 
 func baseConfig() Config {
@@ -18,30 +21,68 @@ func baseConfig() Config {
 	}
 }
 
+// TestValidate refuses each bad field, NaN and both infinities included,
+// with an error that names the field.
 func TestValidate(t *testing.T) {
 	good := baseConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.MatrixOrder = 0 },
-		func(c *Config) { c.BlockSize = 0 },
-		func(c *Config) { c.BlockSize = c.MatrixOrder + 1 },
-		func(c *Config) { c.Nodes = 0 },
-		func(c *Config) { c.NodePeak = 0 },
-		func(c *Config) { c.PeakEfficiency = 0 },
-		func(c *Config) { c.PeakEfficiency = 1.2 },
-		func(c *Config) { c.TailKnee = -1 },
-		func(c *Config) { c.PanelFraction = 0 },
-		func(c *Config) { c.PanelFraction = 1.5 },
-		func(c *Config) { c.SetupTime = -1 },
+	type badCase struct {
+		field  string
+		mutate func(*Config)
 	}
-	for i, mutate := range bad {
+	bad := []badCase{
+		{"MatrixOrder", func(c *Config) { c.MatrixOrder = 0 }},
+		{"BlockSize", func(c *Config) { c.BlockSize = 0 }},
+		{"BlockSize", func(c *Config) { c.BlockSize = c.MatrixOrder + 1 }},
+		{"Nodes", func(c *Config) { c.Nodes = 0 }},
+		{"NodePeak", func(c *Config) { c.NodePeak = 0 }},
+		{"PeakEfficiency", func(c *Config) { c.PeakEfficiency = 0 }},
+		{"PeakEfficiency", func(c *Config) { c.PeakEfficiency = 1.2 }},
+		{"TailKnee", func(c *Config) { c.TailKnee = -1 }},
+		{"PanelFraction", func(c *Config) { c.PanelFraction = 0 }},
+		{"PanelFraction", func(c *Config) { c.PanelFraction = 1.5 }},
+		{"SetupTime", func(c *Config) { c.SetupTime = -1 }},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad, []badCase{
+			{"NodePeak", func(c *Config) { c.NodePeak = power.GFlops(v) }},
+			{"PeakEfficiency", func(c *Config) { c.PeakEfficiency = v }},
+			{"TailKnee", func(c *Config) { c.TailKnee = v }},
+			{"PanelFraction", func(c *Config) { c.PanelFraction = v }},
+			{"StepOverhead", func(c *Config) { c.StepOverhead = v }},
+			{"SetupTime", func(c *Config) { c.SetupTime = v }},
+			{"TeardownTime", func(c *Config) { c.TeardownTime = v }},
+		}...)
+	}
+	for i, b := range bad {
 		c := baseConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		b.mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), b.field) {
+			t.Errorf("bad config %d: Validate() = %v, want an error naming %s", i, err, b.field)
 		}
+	}
+}
+
+// TestNaNTemplateFailsOnFirstProbe: a template with a NaN field used to
+// validate, so every core duration was NaN and the runtime search probed
+// up to its 1<<28 limit before calling the target unreachably long. Now
+// the first probe returns the field's error.
+func TestNaNTemplateFailsOnFirstProbe(t *testing.T) {
+	c := baseConfig()
+	c.TailKnee = math.NaN()
+	c.BlockSize = 1 << 18
+	probes := 0
+	_, err := searchOrder(c.BlockSize, 3600, func(n int) (float64, error) {
+		probes++
+		return c.durationAt(n)
+	})
+	if err == nil || !strings.Contains(err.Error(), "TailKnee") || probes > 1 {
+		t.Errorf("search = %v after %d probes, want the TailKnee error after at most 1", err, probes)
+	}
+	if _, err := MatrixOrderForRuntime(c, 3600); err == nil || !strings.Contains(err.Error(), "TailKnee") {
+		t.Errorf("MatrixOrderForRuntime = %v, want the TailKnee error", err)
 	}
 }
 
@@ -211,8 +252,10 @@ func TestMatrixOrderForRuntime(t *testing.T) {
 }
 
 func TestMatrixOrderForRuntimeBadTarget(t *testing.T) {
-	if _, err := MatrixOrderForRuntime(baseConfig(), 0); err == nil {
-		t.Error("zero target accepted")
+	for _, target := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := MatrixOrderForRuntime(baseConfig(), target); err == nil || !strings.Contains(err.Error(), "target runtime") {
+			t.Errorf("target %v: err = %v, want a target runtime error", target, err)
+		}
 	}
 }
 

@@ -92,9 +92,6 @@ func New(spec Spec, r *rng.Rand) (*Meter, error) {
 	return &Meter{spec: spec, gain: gain, r: r}, nil
 }
 
-// Gain returns the instrument's fixed calibration multiplier.
-func (m *Meter) Gain() float64 { return m.gain }
-
 // reading passes one true power value through the instrument pipeline.
 func (m *Meter) reading(true_ power.Watts) power.Watts {
 	return pipeline(float64(true_), m.gain, m.spec.NoiseCV, m.spec.ResolutionWatts, m.r)

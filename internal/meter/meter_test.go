@@ -47,8 +47,8 @@ func TestReferenceMeterIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Gain() != 1 {
-		t.Errorf("reference gain = %v", m.Gain())
+	if m.gain != 1 {
+		t.Errorf("reference gain = %v", m.gain)
 	}
 	avg, err := m.AveragePower(tr, 0, 100)
 	if err != nil {
@@ -78,8 +78,8 @@ func TestGainErrorIsFixedPerInstrument(t *testing.T) {
 	if a1 != a2 {
 		t.Errorf("gain drifted between measurements: %v vs %v", a1, a2)
 	}
-	if math.Abs(float64(a1)-1000*m.Gain()) > 1e-9 {
-		t.Errorf("average %v inconsistent with gain %v", a1, m.Gain())
+	if math.Abs(float64(a1)-1000*m.gain) > 1e-9 {
+		t.Errorf("average %v inconsistent with gain %v", a1, m.gain)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestGainDistributionAcrossInstruments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gains = append(gains, m.Gain())
+		gains = append(gains, m.gain)
 	}
 	var mean, ss float64
 	for _, g := range gains {
@@ -191,7 +191,7 @@ func TestEnergyAppliesGainOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 100000 * m.Gain()
+	want := 100000 * m.gain
 	if math.Abs(float64(e)-want) > 1e-9 {
 		t.Errorf("integrated energy = %v, want %v (noise must not apply)", e, want)
 	}

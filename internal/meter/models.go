@@ -138,12 +138,6 @@ type WindowedMeter struct {
 	r     *rng.Rand
 }
 
-// Gain returns the instrument's fixed calibration multiplier.
-func (m *WindowedMeter) Gain() float64 { return m.gain }
-
-// Phase returns the instrument's fixed read-grid offset in seconds.
-func (m *WindowedMeter) Phase() float64 { return m.phase }
-
 // read reports the boxcar average ending at x, clamped to the trace
 // span, through the instrument error chain. w reads tr.
 func (m *WindowedMeter) read(tr *power.Trace, w *power.WindowCursor, x float64) (power.Watts, error) {
@@ -324,9 +318,6 @@ type OCCMeter struct {
 	gain float64
 	r    *rng.Rand
 }
-
-// Gain returns the instrument's fixed sensor-calibration multiplier.
-func (m *OCCMeter) Gain() float64 { return m.gain }
 
 // walk accumulates the window into read-out buckets and hands each
 // bucket's span [lo, hi] and reported average v to emit in time order.

@@ -197,7 +197,7 @@ func TestWindowedPhaseJitterIsPerInstrument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.(*WindowedMeter).Phase(), b.(*WindowedMeter).Phase()
+	pa, pb := a.(*WindowedMeter).phase, b.(*WindowedMeter).phase
 	if pa < 0 || pa >= 10 || pb < 0 || pb >= 10 {
 		t.Fatalf("phases %v, %v outside [0, 10)", pa, pb)
 	}
@@ -294,8 +294,8 @@ func TestOCCEnvelopeBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := 1000 * occ.Gain() * (1 - spec.EnvelopeFrac)
-	hi := 1000 * occ.Gain() * (1 + spec.EnvelopeFrac)
+	lo := 1000 * occ.gain * (1 - spec.EnvelopeFrac)
+	hi := 1000 * occ.gain * (1 + spec.EnvelopeFrac)
 	for _, s := range measured.Samples() {
 		if float64(s.Power) < lo-1e-9 || float64(s.Power) > hi+1e-9 {
 			t.Fatalf("reading %v outside envelope [%v, %v]", s.Power, lo, hi)

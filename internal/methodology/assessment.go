@@ -54,8 +54,7 @@ func (a Assessment) WithCompleteness(completeness float64) Assessment {
 // interval instead of a planned CV. A zero-center interval — which
 // best-effort aggregation over dropped nodes or meters can produce — is
 // not a 0% error: the relative accuracy is undefined, so the assessment
-// is flagged degraded with a note instead of panicking the way
-// stats.Interval.RelativeHalfWidth would.
+// is flagged degraded with a note.
 func (a Assessment) WithSubsetInterval(ci stats.Interval) Assessment {
 	if rel, ok := ci.RelativeHalfWidthOK(); ok {
 		a.SubsetAccuracy = rel

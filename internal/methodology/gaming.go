@@ -69,6 +69,18 @@ type GamingReport struct {
 	EfficiencyGain float64
 }
 
+// level1Region returns the Level 1 placement region of the core phase
+// [start, end], its middle 80%, and the spec's window length for the
+// phase clamped to that region.
+func level1Region(spec Spec, start, end float64) (regionLo, regionHi, length float64) {
+	regionLo, regionHi = power.Middle80.Window(start, end)
+	length = spec.WindowLength(end - start)
+	if length > regionHi-regionLo {
+		length = regionHi - regionLo
+	}
+	return regionLo, regionHi, length
+}
+
 // AnalyzeGaming measures the exposure of a system trace to optimal-window
 // selection under the original Level 1 timing rule.
 func AnalyzeGaming(name string, tr *power.Trace) (*GamingReport, error) {
@@ -76,13 +88,7 @@ func AnalyzeGaming(name string, tr *power.Trace) (*GamingReport, error) {
 		return nil, errors.New("methodology: gaming analysis needs a trace")
 	}
 	spec := MustLevelSpec(Level1)
-	start, end := tr.Start(), tr.End()
-	core := end - start
-	length := spec.WindowLength(core)
-	regionLo, regionHi := start+0.1*core, start+0.9*core
-	if length > regionHi-regionLo {
-		length = regionHi - regionLo
-	}
+	regionLo, regionHi, length := level1Region(spec, tr.Start(), tr.End())
 	lo, err := BestWindow(tr, regionLo, regionHi, length, maxSearchSteps)
 	if err != nil {
 		return nil, err

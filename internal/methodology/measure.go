@@ -186,11 +186,7 @@ func Measure(t Target, spec Spec, opts Options) (*Measurement, error) {
 	// Aspect 1b: choose the window.
 	lo, hi := start, end
 	if spec.Timing == WindowInMiddle80 {
-		length := spec.WindowLength(core)
-		regionLo, regionHi := start+0.1*core, start+0.9*core
-		if length > regionHi-regionLo {
-			length = regionHi - regionLo
-		}
+		regionLo, regionHi, length := level1Region(spec, start, end)
 		switch opts.Placement {
 		case PlaceEarliest:
 			lo = regionLo

@@ -156,9 +156,9 @@ func TestStartSpanCtxDisabledIsInert(t *testing.T) {
 
 func TestTraceBufferCapsSpans(t *testing.T) {
 	buf := newTraceBuffer(NewTraceID(), 3)
-	root := buf.Root("request", "r", SpanID{})
+	ctx := ContextWithSpan(context.Background(), buf.Root("request", "r", SpanID{}))
 	for i := 0; i < 5; i++ {
-		root.Event("e")
+		EventCtx(ctx, "request", "e")
 	}
 	if got := len(buf.Events()); got != 3 {
 		t.Fatalf("buffer kept %d events, want 3", got)
@@ -193,8 +193,9 @@ func TestTraceStoreFIFOEviction(t *testing.T) {
 func TestTraceBufferChromeTraceValidates(t *testing.T) {
 	buf := newTraceBuffer(NewTraceID(), 16)
 	root := buf.Root("request", "coverage", SpanID{})
-	root.Event("cache_miss")
-	child, _ := StartSpanCtx(ContextWithSpan(context.Background(), root), "chunk", "c0")
+	ctx := ContextWithSpan(context.Background(), root)
+	EventCtx(ctx, "request", "cache_miss")
+	child, _ := StartSpanCtx(ctx, "chunk", "c0")
 	child.End()
 	root.End()
 	var out bytes.Buffer

@@ -374,36 +374,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.floats)+len(r.hists))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.floats {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	for n := range r.counterVecs {
-		out = append(out, n)
-	}
-	for n := range r.gaugeVecs {
-		out = append(out, n)
-	}
-	for n := range r.histVecs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

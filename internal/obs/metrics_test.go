@@ -4,10 +4,41 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// Names returns every registered metric name, sorted.
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.floats)+len(r.hists))
+	for n := range r.counters {
+		out = append(out, n)
+	}
+	for n := range r.gauges {
+		out = append(out, n)
+	}
+	for n := range r.floats {
+		out = append(out, n)
+	}
+	for n := range r.hists {
+		out = append(out, n)
+	}
+	for n := range r.counterVecs {
+		out = append(out, n)
+	}
+	for n := range r.gaugeVecs {
+		out = append(out, n)
+	}
+	for n := range r.histVecs {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestCounterGaugeFloatCounter(t *testing.T) {
 	r := NewRegistry()

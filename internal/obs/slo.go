@@ -48,9 +48,6 @@ func NewSLO(endpoint string, latencyTarget, objective float64) *SLO {
 	return s
 }
 
-// Objective returns the success-fraction objective.
-func (s *SLO) Objective() float64 { return s.objective }
-
 // Observe records one request outcome: a violation when it failed or
 // overran the latency target. It refreshes the budget gauge so scrapes
 // see burn without recomputation.
@@ -94,9 +91,4 @@ func (s *SLO) Exhausted(minRequests int64) bool {
 		return false
 	}
 	return s.BudgetRemaining() <= 0
-}
-
-// Counts returns the cumulative (total, bad) request counts.
-func (s *SLO) Counts() (total, bad int64) {
-	return s.total.Load(), s.bad.Load()
 }

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Objective returns the success-fraction objective.
+func (s *SLO) Objective() float64 { return s.objective }
+
+// Counts returns the cumulative (total, bad) request counts.
+func (s *SLO) Counts() (total, bad int64) {
+	return s.total.Load(), s.bad.Load()
+}
+
 func TestSLOBudgetStartsFullAndBurns(t *testing.T) {
 	s := NewSLO("test-full", 0.1, 0.9) // 10% error budget
 	if got := s.BudgetRemaining(); got != 1 {

@@ -133,9 +133,6 @@ func (t *Tracer) Start(cat, name string) Span {
 // allocation-heavy attribute construction (strconv, fmt) behind it.
 func (s *Span) Active() bool { return s.sink != nil }
 
-// TraceID returns the span's trace identity (zero outside a request).
-func (s *Span) TraceID() TraceID { return s.trace }
-
 // ID returns the span's own identifier (zero on an inert span).
 func (s *Span) ID() SpanID { return s.id }
 
@@ -147,24 +144,6 @@ func (s *Span) Attr(key, value string) {
 	}
 	s.attrs[s.nattrs] = Attr{Key: key, Value: value}
 	s.nattrs++
-}
-
-// Event records an instantaneous point event inside the span — cache
-// decisions, state transitions — without opening a child span. No-op on
-// an inert span.
-func (s *Span) Event(name string) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.recordSpan(SpanEvent{
-		Cat:     s.cat,
-		Name:    name,
-		StartNS: s.sink.nowNS(),
-		Trace:   s.trace,
-		ID:      newSpanID(),
-		Parent:  s.id,
-		Kind:    KindInstant,
-	})
 }
 
 // End closes the span and records it. No-op on an inert span.

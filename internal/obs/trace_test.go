@@ -9,6 +9,16 @@ import (
 	"time"
 )
 
+// TraceID returns the span's trace identity (zero outside a request).
+func (s *Span) TraceID() TraceID { return s.trace }
+
+// Dropped returns how many spans exceeded the buffer's capacity.
+func (b *TraceBuffer) Dropped() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dropped
+}
+
 func TestSpanRecordsEvent(t *testing.T) {
 	tr := NewTracer(16)
 	sp := tr.Start("experiment", "table1")

@@ -72,13 +72,6 @@ func (b *TraceBuffer) Events() []SpanEvent {
 	return append([]SpanEvent(nil), b.events...)
 }
 
-// Dropped returns how many spans exceeded the buffer's capacity.
-func (b *TraceBuffer) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
 // WriteChromeTrace writes the trace as Chrome-trace JSON (loadable in
 // chrome://tracing and Perfetto).
 func (b *TraceBuffer) WriteChromeTrace(w io.Writer) error {

@@ -33,9 +33,6 @@ type WindowQuality struct {
 	Dropped int
 }
 
-// Complete reports whether the window had full data coverage.
-func (q WindowQuality) Complete() bool { return q.Gaps == 0 && q.Dropped == 0 }
-
 // fullQuality is the quality of an uninterrupted window.
 func fullQuality() WindowQuality { return WindowQuality{Completeness: 1} }
 

@@ -48,7 +48,7 @@ func TestTolerantMatchesFastPathWithoutGaps(t *testing.T) {
 		if got != want {
 			t.Errorf("window %v: tolerant energy %v != fast-path %v", w, got, want)
 		}
-		if !q.Complete() || q.Completeness != 1 {
+		if q.Gaps != 0 || q.Dropped != 0 || q.Completeness != 1 {
 			t.Errorf("window %v: quality %+v not complete", w, q)
 		}
 		wantA, _ := tr.AverageBetween(w[0], w[1])

@@ -256,35 +256,6 @@ func (t *Trace) checkSpan(a, b float64) error {
 	return nil
 }
 
-// energyBetweenNaive is the original O(window) trapezoid scan. It is the
-// reference implementation the prefix-sum index is validated against and
-// is kept for traces queried exactly once, where building the index would
-// not pay for itself.
-func (t *Trace) energyBetweenNaive(a, b float64) (Joules, error) {
-	if len(t.samples) < 2 {
-		return 0, ErrShortTrace
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if err := t.checkSpan(a, b); err != nil {
-		return 0, err
-	}
-	if a == b {
-		return 0, nil
-	}
-	var total float64
-	prevT, prevP := a, float64(t.At(a))
-	i := sort.Search(len(t.samples), func(i int) bool { return t.samples[i].Time > a })
-	for ; i < len(t.samples) && t.samples[i].Time < b; i++ {
-		s := t.samples[i]
-		total += (float64(s.Power) + prevP) / 2 * (s.Time - prevT)
-		prevT, prevP = s.Time, float64(s.Power)
-	}
-	total += (float64(t.At(b)) + prevP) / 2 * (b - prevT)
-	return Joules(total), nil
-}
-
 // AverageBetween returns the time-weighted average power over [a, b].
 func (t *Trace) AverageBetween(a, b float64) (Watts, error) {
 	if a == b {

@@ -41,14 +41,6 @@ func TestTableAddRowPanics(t *testing.T) {
 	tb.AddRow("only-one")
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "name", "value", "count")
-	tb.AddRowf("%.2f", "x", 3.14159, 7)
-	if tb.Rows[0][1] != "3.14" || tb.Rows[0][2] != "7" || tb.Rows[0][0] != "x" {
-		t.Errorf("AddRowf row = %v", tb.Rows[0])
-	}
-}
-
 func TestTableMarkdown(t *testing.T) {
 	tb := NewTable("T", "a", "b")
 	tb.AddRow("1", "2")

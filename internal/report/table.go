@@ -32,23 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row of formatted values: each value is rendered with
-// %v for strings and ints and with the given float format for float64.
-func (t *Table) AddRowf(floatFormat string, values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf(floatFormat, x)
-		case float32:
-			cells[i] = fmt.Sprintf(floatFormat, float64(x))
-		default:
-			cells[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 // widths returns the rendered width of each column.
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Headers))

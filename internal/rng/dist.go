@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the discrete-distribution kernels behind the
-// count-based bootstrap: an exact binomial sampler and the
-// split-tree multinomial draw built on it. The design constraint
+// count-based bootstrap: exact binomial samplers and the split-tree
+// multinomial draw built on them. The design constraint
 // throughout is O(1) expected work per variate with zero heap
 // allocation, so that a coverage-study replicate costs O(pilot)
 // regardless of the simulated machine size.
@@ -37,76 +37,16 @@ var logFactTable = sync.OnceValue(func() []float64 {
 	return t
 })
 
-// btrsCutoff splits Binomial between plain inversion and the BTRS
+// btrsCutoff splits a binomial draw between plain inversion and the BTRS
 // transformed-rejection sampler: below it the inversion walk is short
 // (expected n·p steps), above it BTRS accepts in O(1) expected trials
 // and is valid (it requires n·min(p,1-p) ≳ 10).
 const btrsCutoff = 10
 
-// Binomial returns a variate with the Binomial(n, p) distribution: the
-// number of successes in n independent trials of probability p. It
-// panics if n is negative or p is NaN; p is clamped to [0, 1].
-//
-// For n·min(p,1-p) below a small cutoff it uses inversion (BINV: walk
-// the CDF from zero, O(n·p) expected steps); above it, Hörmann's BTRS
-// transformed-rejection sampler with an O(1) expected number of
-// uniforms. The split keeps every call allocation-free and cheap at
-// both extremes.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("rng: Binomial called with negative n")
-	}
-	if math.IsNaN(p) {
-		panic("rng: Binomial called with NaN p")
-	}
-	if n == 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Work on q = min(p, 1-p) and flip the result back: both samplers
-	// want the success probability in (0, 1/2].
-	flipped := p > 0.5
-	q := p
-	if flipped {
-		q = 1 - p
-	}
-	var k int
-	if q == 0.5 {
-		k = r.binomialHalf(n)
-	} else {
-		k = r.binomialBelowHalf(n, q)
-	}
-	if flipped {
-		k = n - k
-	}
-	return k
-}
-
-// popcountCutoff is where Binomial(n, 1/2) switches from popcount
+// popcountCutoff is where a Binomial(n, 1/2) split switches from popcount
 // (n/64 generator words) to BTRS (two uniforms expected): past ~2k
 // trials the rejection sampler is cheaper than streaming the bits.
 const popcountCutoff = 2048
-
-// binomialHalf returns a Binomial(n, 1/2) variate as the popcount of n
-// fair random bits: exact, transcendental-free, and ~64 trials per
-// generator word, deferring to BTRS for very large n. It is the
-// workhorse of the split tree in MultinomialEqual, where every split of
-// a power-of-two segment is a fair coin.
-func (r *Rand) binomialHalf(n int) int {
-	if n > popcountCutoff {
-		return r.binomialBTRS(n, 0.5)
-	}
-	k := 0
-	for ; n >= 64; n -= 64 {
-		k += bits.OnesCount64(r.Uint64())
-	}
-	if n > 0 {
-		k += bits.OnesCount64(r.Uint64() & (1<<uint(n) - 1))
-	}
-	return k
-}
 
 // binomialBelowHalf dispatches Binomial(n, p) for 0 < p < 1/2 between
 // inversion and BTRS.
@@ -345,8 +285,7 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 				// so sync the locals around the call.
 				r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 				if 2*l != k {
-					// k−l < l, so p = (k−l)/k < 1/2 is Binomial's own
-					// no-flip path.
+					// k−l < l, so p = (k−l)/k < 1/2 needs no flip.
 					x = cur.n - r.binomialBelowHalf(cur.n, float64(k-l)/float64(k))
 				} else {
 					x = r.binomialBTRS(cur.n, 0.5)
@@ -383,52 +322,4 @@ func (r *Rand) multinomialHalve(n int, counts []int) {
 		cur = stack[sp]
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
-// Uint64Block fills dst with consecutive outputs of the generator,
-// producing exactly the stream len(dst) sequential Uint64 calls would,
-// with the state kept in registers across the whole block. It is the
-// bulk primitive under the batched resampling helpers.
-func (r *Rand) Uint64Block(dst []uint64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		dst[i], s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
-// resampleBlock is the batch width for the block-fill resamplers: big
-// enough to amortize the per-block bookkeeping, small enough to live on
-// the stack.
-const resampleBlock = 128
-
-// ResampleFloat64s fills dst with a uniform with-replacement resample of
-// src (each dst element an independent uniform pick from src). Index
-// generation runs over Uint64Block batches with Lemire reduction, so the
-// call makes no heap allocations and touches the generator in blocks.
-func (r *Rand) ResampleFloat64s(dst, src []float64) {
-	n := uint64(len(src))
-	if n == 0 {
-		panic("rng: ResampleFloat64s from an empty source")
-	}
-	var buf [resampleBlock]uint64
-	threshold := (-n) % n
-	i := 0
-	for i < len(dst) {
-		k := len(dst) - i
-		if k > resampleBlock {
-			k = resampleBlock
-		}
-		r.Uint64Block(buf[:k])
-		for _, w := range buf[:k] {
-			hi, lo := bits.Mul64(w, n)
-			for lo < threshold {
-				// Lemire rejection: rare (probability < n/2^64), so the
-				// retry draws straight from the generator.
-				hi, lo = bits.Mul64(r.Uint64(), n)
-			}
-			dst[i] = src[hi]
-			i++
-		}
-	}
 }

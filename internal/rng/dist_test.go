@@ -353,58 +353,9 @@ func ksTwoSample(a, b []float64) float64 {
 	return d
 }
 
-func TestUint64BlockMatchesSequential(t *testing.T) {
-	a, b := rng.New(77), rng.New(77)
-	block := make([]uint64, 1000)
-	a.Uint64Block(block[:601])
-	a.Uint64Block(block[601:])
-	for i, w := range block {
-		if seq := b.Uint64(); w != seq {
-			t.Fatalf("block output %d = %x, sequential = %x", i, w, seq)
-		}
-	}
-	// The generators must be left in identical states.
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("states diverged after block fill")
-	}
-}
-
-func TestResampleFloat64s(t *testing.T) {
-	r := rng.New(55)
-	src := []float64{1.5, 2.5, 3.5, 4.5, 5.5}
-	dst := make([]float64, 10000)
-	r.ResampleFloat64s(dst, src)
-	counts := map[float64]int{}
-	for _, v := range dst {
-		counts[v]++
-	}
-	if len(counts) != len(src) {
-		t.Fatalf("resample produced %d distinct values, want %d", len(counts), len(src))
-	}
-	for v, c := range counts {
-		if math.Abs(float64(c)-2000) > 6*math.Sqrt(2000) {
-			t.Errorf("value %v drawn %d times, want ~2000", v, c)
-		}
-	}
-	// Determinism across calls with the same seed.
-	r2 := rng.New(55)
-	dst2 := make([]float64, len(dst))
-	r2.ResampleFloat64s(dst2, src)
-	for i := range dst {
-		if dst[i] != dst2[i] {
-			t.Fatalf("resample not deterministic at %d", i)
-		}
-	}
-}
-
 func TestDistSamplersAllocationFree(t *testing.T) {
 	r := rng.New(9)
 	counts := make([]int, 516)
-	src := make([]float64, 516)
-	dst := make([]float64, 516)
-	for i := range src {
-		src[i] = float64(i)
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.MultinomialEqual(9216, counts)
 	}); n != 0 {
@@ -419,11 +370,6 @@ func TestDistSamplersAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("BTRS Binomial draw allocates %v per run", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		r.ResampleFloat64s(dst, src)
-	}); n != 0 {
-		t.Errorf("ResampleFloat64s allocates %v per run", n)
 	}
 	smp := make([]int, 100)
 	if n := testing.AllocsPerRun(100, func() {

@@ -80,17 +80,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Open returns a uniform float64 in the open interval (0, 1),
-// suitable as input to inverse-CDF transforms that reject 0 and 1.
-func (r *Rand) Float64Open() float64 {
-	for {
-		v := r.Float64()
-		if v > 0 {
-			return v
-		}
-	}
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 // The implementation uses Lemire's multiply-shift rejection method,
 // which is unbiased for every n.
@@ -149,33 +138,6 @@ func (r *Rand) Normal(mu, sigma float64) float64 {
 // via inversion.
 func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
-}
-
-// Perm returns a uniformly random permutation of [0, n) using a
-// Fisher-Yates shuffle.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts shuffles the slice in place with Fisher-Yates.
-func (r *Rand) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from

@@ -47,16 +47,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat64OpenRange(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 100000; i++ {
-		v := r.Float64Open()
-		if v <= 0 || v >= 1 {
-			t.Fatalf("Float64Open out of (0,1): %v", v)
-		}
-	}
-}
-
 func TestFloat64Moments(t *testing.T) {
 	r := New(11)
 	const n = 200000
@@ -173,38 +163,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	r := New(29)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[r.Perm(n)[0]]++
-	}
-	expected := float64(draws) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-expected) > 5*math.Sqrt(expected) {
-			t.Errorf("first element %d appeared %d times, want ~%v", i, c, expected)
-		}
-	}
-}
-
 func TestSampleWithoutReplacementProperties(t *testing.T) {
 	r := New(31)
 	check := func(n, k int) {
@@ -282,16 +240,6 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / draws
 	if math.Abs(rate-p) > 0.01 {
 		t.Errorf("Bernoulli(%v) hit rate %v", p, rate)
-	}
-}
-
-func TestShuffleSwapCount(t *testing.T) {
-	r := New(47)
-	n := 10
-	calls := 0
-	r.Shuffle(n, func(i, j int) { calls++ })
-	if calls != n-1 {
-		t.Errorf("Shuffle made %d swap calls, want %d", calls, n-1)
 	}
 }
 

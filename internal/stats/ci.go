@@ -22,26 +22,9 @@ func (ci Interval) Lo() float64 { return ci.Center - ci.HalfWidth }
 // Hi returns the upper endpoint.
 func (ci Interval) Hi() float64 { return ci.Center + ci.HalfWidth }
 
-// Contains reports whether v lies inside the interval (inclusive).
-func (ci Interval) Contains(v float64) bool {
-	return v >= ci.Lo() && v <= ci.Hi()
-}
-
-// RelativeHalfWidth returns HalfWidth / |Center|, the paper's accuracy
-// statement λ ("within λ·μ of the true total"). It panics if Center is 0;
-// pipelines that can legitimately produce a zero or NaN center (degraded,
-// fault-injected aggregations) should use RelativeHalfWidthOK instead.
-func (ci Interval) RelativeHalfWidth() float64 {
-	rel, ok := ci.RelativeHalfWidthOK()
-	if !ok {
-		panic("stats: relative half-width undefined for zero center")
-	}
-	return rel
-}
-
-// RelativeHalfWidthOK is the non-panicking variant of RelativeHalfWidth:
-// it reports HalfWidth/|Center| and true, or 0 and false when the center
-// is 0 or NaN — degenerate point estimates that best-effort aggregation
+// RelativeHalfWidthOK returns HalfWidth/|Center|, the paper's accuracy
+// statement λ ("within λ·μ of the true total"), and true; or 0 and false
+// when the center is 0 or NaN — degenerate point estimates that best-effort aggregation
 // over dropped nodes or meters can produce (see internal/faults). Callers
 // on fault-tolerant paths must surface the false case as a degraded
 // result rather than a 0% error.

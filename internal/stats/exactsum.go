@@ -81,12 +81,6 @@ func (s *ExactSum) Merge(o *ExactSum) {
 	addLimbs(&s.neg, &o.neg)
 }
 
-// IsZero reports whether the exact sum is exactly zero (including the
-// empty sum).
-func (s *ExactSum) IsZero() bool {
-	return cmpLimbs(&s.pos, &s.neg) == 0
-}
-
 // Value renders the exact sum to the nearest float64, ties to even. A sum
 // whose magnitude exceeds the float64 range renders to ±Inf; one below
 // half the smallest subnormal renders to 0.

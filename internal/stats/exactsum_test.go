@@ -8,6 +8,12 @@ import (
 	"nodevar/internal/rng"
 )
 
+// IsZero reports whether the exact sum is exactly zero (including the
+// empty sum).
+func (s *ExactSum) IsZero() bool {
+	return cmpLimbs(&s.pos, &s.neg) == 0
+}
+
 // bigSum computes the exact sum of xs (or of xs² when squares is set)
 // with enough big.Float precision that every operation is exact, then
 // rounds once to float64 — the reference ExactSum.Value must match

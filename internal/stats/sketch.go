@@ -219,34 +219,3 @@ func (s *QuantileSketch) clamp(v float64) float64 {
 	}
 	return v
 }
-
-// Count returns the number of observations absorbed.
-func (s *QuantileSketch) Count() uint64 { return s.count }
-
-// RelativeAccuracy returns the sketch's α.
-func (s *QuantileSketch) RelativeAccuracy() float64 { return s.alpha }
-
-// Bins returns the number of live buckets.
-func (s *QuantileSketch) Bins() int { return len(s.bins) }
-
-// Collapsed reports whether any bucket collapse has occurred; once true,
-// low-tail quantiles may exceed the α error bound.
-func (s *QuantileSketch) Collapsed() bool { return s.collapsed }
-
-// Min returns the smallest observation seen. It panics if the sketch is
-// empty.
-func (s *QuantileSketch) Min() float64 {
-	if s.count == 0 {
-		panic(ErrEmpty)
-	}
-	return s.minSeen
-}
-
-// Max returns the largest observation seen. It panics if the sketch is
-// empty.
-func (s *QuantileSketch) Max() float64 {
-	if s.count == 0 {
-		panic(ErrEmpty)
-	}
-	return s.maxSeen
-}

@@ -13,6 +13,37 @@ import (
 // the α bound at each.
 var sketchProbes = []float64{0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
 
+// Count returns the number of observations absorbed.
+func (s *QuantileSketch) Count() uint64 { return s.count }
+
+// RelativeAccuracy returns the sketch's α.
+func (s *QuantileSketch) RelativeAccuracy() float64 { return s.alpha }
+
+// Bins returns the number of live buckets.
+func (s *QuantileSketch) Bins() int { return len(s.bins) }
+
+// Collapsed reports whether any bucket collapse has occurred; once true,
+// low-tail quantiles may exceed the α error bound.
+func (s *QuantileSketch) Collapsed() bool { return s.collapsed }
+
+// Min returns the smallest observation seen. It panics if the sketch is
+// empty.
+func (s *QuantileSketch) Min() float64 {
+	if s.count == 0 {
+		panic(ErrEmpty)
+	}
+	return s.minSeen
+}
+
+// Max returns the largest observation seen. It panics if the sketch is
+// empty.
+func (s *QuantileSketch) Max() float64 {
+	if s.count == 0 {
+		panic(ErrEmpty)
+	}
+	return s.maxSeen
+}
+
 // assertSketchBound checks the documented guarantee: the estimate is
 // within relative α of the nearest-rank order statistic, plus one ulp —
 // for deeply subnormal values float64 spacing itself exceeds α, so no
@@ -87,7 +118,14 @@ func TestQuantileSketchSplitInvariant(t *testing.T) {
 	}
 
 	// Shuffled insertion order, and a three-way merge of shuffled shards.
-	perm := r.Perm(len(xs))
+	perm := make([]int, len(xs))
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	shards := []*QuantileSketch{
 		NewQuantileSketch(0.005, 0),
 		NewQuantileSketch(0.005, 0),

@@ -121,8 +121,3 @@ func (w *Iterative) Utilization(t float64) float64 {
 	}
 	return w.Low
 }
-
-// MeanUtilization returns the duty-cycle-weighted mean level.
-func (w *Iterative) MeanUtilization() float64 {
-	return w.High*w.DutyCycle + w.Low*(1-w.DutyCycle)
-}

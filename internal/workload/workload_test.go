@@ -8,6 +8,11 @@ import (
 	"nodevar/internal/hpl"
 )
 
+// MeanUtilization returns the duty-cycle-weighted mean level.
+func (w *Iterative) MeanUtilization() float64 {
+	return w.High*w.DutyCycle + w.Low*(1-w.DutyCycle)
+}
+
 func hplRun(t *testing.T) *hpl.Run {
 	t.Helper()
 	run, err := hpl.Simulate(hpl.Config{
